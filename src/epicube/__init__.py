@@ -20,7 +20,6 @@ from .degeneracy import (
     random_combinatorial_cube,
     turnbull_young_reduced,
     unit_cube,
-    veronese24,
     veronese_matrix,
 )
 from .estimators import (
@@ -49,7 +48,6 @@ from .quadrics import (
     quadric_through_points,
     region_grid,
     ruled_region_delta1,
-    transport_from_unit_cube,
     unit_cube_quadric,
 )
 

@@ -7,11 +7,11 @@ carry the labels 0,1,2,3,6,7,8,9; a full 10-point configuration adds the
 two focal points in labels 4 and 5.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ExhaustedRetries, LengthMismatch
+from .exceptions import DegenerateIntersection, ExhaustedRetries, LengthMismatch
 from .projective import DEFAULT_TOL, as_point, as_points
 
 # Vertex labels of the cube inside the 10-point labeling; 4 and 5 are the
@@ -38,6 +38,15 @@ TY_MONOMIALS = (
     (-1, ((0, 1, 2, 4), (0, 3, 5, 6), (1, 3, 7, 8), (2, 5, 7, 9), (4, 6, 8, 9))),
 )
 
+# Degree-2 Veronese monomial table: monomial k is x[VERONESE_I[k]] *
+# x[VERONESE_J[k]], in the order x1^2, x1x2, x1x3, x1x4, x2^2, x2x3, x2x4,
+# x3^2, x3x4, x4^2.
+VERONESE_I, VERONESE_J = np.triu_indices(4)
+
+# Fixed vertices of the normal-form cube by label: 0 at the origin, 3, 2, 9
+# the unit vectors (homogeneous, last coordinate 1).
+NORMAL_FORM_BASE = {0: (0, 0, 0, 1), 3: (1, 0, 0, 1), 2: (0, 1, 0, 1), 9: (0, 0, 1, 1)}
+
 # Unit cube with vertices (+-1, +-1, +-1, 1) in label order 0,1,2,3,6,7,8,9,
 # following the normal-form labeling: 0 at the origin corner, 3/2/9 its
 # axis neighbors, 8 the opposite corner.
@@ -60,12 +69,10 @@ class CubeConfig:
     """Eight labeled vertices of a combinatorial cube.
 
     ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9 with all
-    points affine (nonzero last coordinate).  ``exact`` optionally carries
-    the rational pre-image of the same vertices as tuples of Fractions.
+    points affine (nonzero last coordinate).
     """
 
     vertices: np.ndarray
-    exact: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vertices = as_points(self.vertices, 4)
@@ -77,34 +84,76 @@ def unit_cube():
     return CubeConfig(UNIT_CUBE_VERTICES.copy())
 
 
-def veronese24(p):
-    """Degree-2 Veronese lift of a point of P^3 to the 10 monomials.
-
-    Order: x1^2, x1x2, x1x3, x1x4, x2^2, x2x3, x2x4, x3^2, x3x4, x4^2.
-    """
-    x1, x2, x3, x4 = as_point(p, 4)
-    return np.array(
-        [
-            x1 * x1,
-            x1 * x2,
-            x1 * x3,
-            x1 * x4,
-            x2 * x2,
-            x2 * x3,
-            x2 * x4,
-            x3 * x3,
-            x3 * x4,
-            x4 * x4,
-        ]
-    )
-
-
 def veronese_matrix(P):
     """Stack the Veronese lifts of a configuration into an (n, 10) matrix."""
     P = as_points(P, 4)
     if len(P) < 1:
         raise ValueError("need at least one point")
-    return np.vstack([veronese24(p) for p in P])
+    return veronese_lift(P)
+
+
+# The ring-generic algebra: these functions use only +, - and *, so the
+# float, rational and symbolic paths all run the same code.
+
+
+def veronese_lift(P):
+    """Degree-2 Veronese lift of the rows of an (n, 4) array over any ring.
+
+    Column k is the monomial P[:, VERONESE_I[k]] * P[:, VERONESE_J[k]].
+    """
+    return P[:, VERONESE_I] * P[:, VERONESE_J]
+
+
+def cross4(a, b, c):
+    """Generalized cross product in 4 coordinates, over any ring.
+
+    Returns n with n . x = det([x; a; b; c]) for every x, i.e. the vector
+    of signed 3x3 maximal minors of the stacked rows a, b, c.
+    """
+    m01 = b[0] * c[1] - b[1] * c[0]
+    m02 = b[0] * c[2] - b[2] * c[0]
+    m03 = b[0] * c[3] - b[3] * c[0]
+    m12 = b[1] * c[2] - b[2] * c[1]
+    m13 = b[1] * c[3] - b[3] * c[1]
+    m23 = b[2] * c[3] - b[3] * c[2]
+    return (
+        a[1] * m23 - a[2] * m13 + a[3] * m12,
+        a[2] * m03 - a[0] * m23 - a[3] * m02,
+        a[0] * m13 - a[1] * m03 + a[3] * m01,
+        a[1] * m02 - a[0] * m12 - a[2] * m01,
+    )
+
+
+def bracket(p, q, r, s):
+    """The bracket [p q r s] = det([p; q; r; s]) over any ring, by
+    cofactors along p."""
+    n = cross4(q, r, s)
+    return p[0] * n[0] + p[1] * n[1] + p[2] * n[2] + p[3] * n[3]
+
+
+def invariant_terms(config):
+    """The four signed bracket-product monomials of the reduced
+    Turnbull-Young invariant over any ring; ``config`` is indexable by
+    label 0..9."""
+    terms = []
+    for sign, brackets in TY_MONOMIALS:
+        prod = sign
+        for idx in brackets:
+            prod = prod * bracket(*(config[i] for i in idx))
+        terms.append(prod)
+    return terms
+
+
+def cube_closure(p1, p6, p7):
+    """Vertex 8 of the normal-form cube over any ring, homogeneous and
+    unscaled.
+
+    p1 lies on the xy-plane, p6 on the xz-plane and p7 on the yz-plane (as
+    homogeneous 4-vectors); vertex 8 is the intersection of the facet
+    planes through {1,2,7}, {1,3,6} and {6,7,9}.
+    """
+    V = NORMAL_FORM_BASE
+    return cross4(cross4(p1, V[2], p7), cross4(p1, V[3], p6), cross4(p6, p7, V[9]))
 
 
 def build_Z(X, Y):
@@ -120,13 +169,9 @@ def build_Z(X, Y):
     return np.vstack([np.kron(y, x) for x, y in zip(X, Y)])
 
 
-def singular_values(M):
-    return np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-
-
 def numerical_rank(M, rank_tol=DEFAULT_TOL):
     """Number of singular values above rank_tol * sigma_max."""
-    s = singular_values(M)
+    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > rank_tol * s[0]))
@@ -163,13 +208,7 @@ def turnbull_young_terms(config):
     C = as_points(config, 4)
     if C.shape != (10, 4):
         raise ValueError("need the full 10-point labeled configuration")
-    terms = []
-    for sign, brackets in TY_MONOMIALS:
-        prod = float(sign)
-        for idx in brackets:
-            prod *= np.linalg.det(C[list(idx)])
-        terms.append(prod)
-    return np.array(terms)
+    return np.array(invariant_terms(C.tolist()))
 
 
 def turnbull_young_reduced(config):
@@ -206,13 +245,15 @@ def is_combinatorial_cube(vertices, tol=1e-8):
         return False, diag
     # Work on last-coordinate-1 representatives so scales are comparable.
     V = V / V[:, 3][:, None]
+    # The bracket runs on Python floats: numpy scalar arithmetic is slower.
+    rows = V.tolist()
     planes = facet_planes(V)
     ok = True
     for facet, plane in zip(FACETS, planes):
         on_idx = [CUBE_POS[lab] for lab in facet]
         off_idx = [i for i in range(8) if i not in on_idx]
         scale = max(np.linalg.norm(V[i]) for i in on_idx) ** 4
-        det = np.linalg.det(V[on_idx])
+        det = bracket(*(rows[i] for i in on_idx))
         coplanar = abs(det) <= tol * max(scale, 1.0)
         diag["coplanar"].append(coplanar)
         vals = np.array([plane @ V[i] for i in off_idx])
@@ -232,9 +273,8 @@ def random_combinatorial_cube(rng, spread=1.0, max_retries=200):
     xz-plane, 7 on the yz-plane, and vertex 8 the intersection of the three
     facet planes through {1,2,7}, {1,3,6} and {6,7,9}.  A random invertible
     affine map then fits the polytope into the box.  All arithmetic runs on
-    exact rationals so the facet coplanarities hold to rounding error; the
-    rational pre-image is kept on the returned CubeConfig.  Samples are
-    rejected until the convexity check passes.
+    exact rationals so the facet coplanarities hold to rounding error.
+    Samples are rejected until the convexity check passes.
     """
     from . import exact
 
@@ -243,10 +283,10 @@ def random_combinatorial_cube(rng, spread=1.0, max_retries=200):
     for _ in range(max_retries):
         try:
             verts_exact = exact.random_rational_cube(rng, spread=spread)
-        except Exception:
+        except DegenerateIntersection:
             continue
         verts = np.array([[float(x) for x in v] for v in verts_exact])
         ok, _ = is_combinatorial_cube(verts)
         if ok:
-            return CubeConfig(verts, exact=verts_exact)
+            return CubeConfig(verts)
     raise ExhaustedRetries(f"no valid cube after {max_retries} attempts")

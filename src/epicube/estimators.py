@@ -17,7 +17,6 @@ from .exceptions import (
     NoRealRoot,
 )
 from .projective import (
-    DEFAULT_TOL,
     as_points,
     canonical_fmatrix,
     dehomogenize,
@@ -60,7 +59,7 @@ def hartley_normalize(pts):
     return T, homogenize(centered * s)
 
 
-def eight_point(X, Y, rank_tol=DEFAULT_TOL):
+def eight_point(X, Y):
     """Noise-free 8-point algorithm: F from the kernel of Z.
 
     Raises DegenerateInput carrying the kernel dimension when the kernel of
@@ -71,7 +70,7 @@ def eight_point(X, Y, rank_tol=DEFAULT_TOL):
     Y = as_points(Y, 3)
     if len(X) < 8:
         raise ValueError(f"need at least 8 correspondences, got {len(X)}")
-    basis = kernel_basis(build_Z(X, Y), rank_tol=rank_tol)
+    basis = kernel_basis(build_Z(X, Y))
     if len(basis) != 1:
         raise DegenerateInput(len(basis))
     return canonical_fmatrix(basis[0].reshape(3, 3))
@@ -214,13 +213,13 @@ def _polish_rank2_root(alpha, F1, F2, iters=8):
     return alpha
 
 
-def seven_point(X, Y, rank_tol=DEFAULT_TOL):
+def seven_point(X, Y):
     """7-point algorithm: pencil of the two kernel generators of Z."""
     X = as_points(X, 3)
     Y = as_points(Y, 3)
     if len(X) != 7 or len(Y) != 7:
         raise ValueError("the 7-point algorithm needs exactly 7 correspondences")
-    basis = kernel_basis(build_Z(X, Y), rank_tol=rank_tol)
+    basis = kernel_basis(build_Z(X, Y))
     if len(basis) != 2:
         raise DegenerateInput(len(basis))
     return pencil_solve(basis[0].reshape(3, 3), basis[1].reshape(3, 3))
@@ -238,7 +237,7 @@ def eckart_young_rank7(Z):
     return (U * s) @ Vt
 
 
-def cube_eight_point(X, Y, normalize=True, rank_tol=DEFAULT_TOL):
+def cube_eight_point(X, Y, normalize=True):
     """Cube-aware 8-point algorithm.
 
     Conditions the images, truncates Z to rank 7, solves the rank-2 pencil
@@ -259,13 +258,10 @@ def cube_eight_point(X, Y, normalize=True, rank_tol=DEFAULT_TOL):
     else:
         TX = TY = np.eye(3)
         Xn, Yn = X, Y
-    Zp = eckart_young_rank7(build_Z(Xn, Yn))
-    basis = kernel_basis(Zp, rank_tol=rank_tol)
-    if len(basis) < 2:
-        raise DegenerateInput(len(basis))
-    # Rank-7 truncation leaves exactly two kernel directions generically;
-    # keep the two weakest singular directions if more show up.
-    sol = pencil_solve(basis[0].reshape(3, 3), basis[1].reshape(3, 3))
+    # The rank-7 truncation of Z keeps its right singular vectors, so its
+    # kernel is spanned by the last two of them.
+    _, _, Vt = np.linalg.svd(build_Z(Xn, Yn))
+    sol = pencil_solve(Vt[7].reshape(3, 3), Vt[8].reshape(3, 3))
     denorm = [canonical_fmatrix(TY.T @ F @ TX) for F in sol.candidates]
     full = PencilSolution(roots=sol.roots, candidates=denorm)
     F, _ = full.best(X, Y)

@@ -1,187 +1,89 @@
 """Exact rational-arithmetic backend.
 
-Everything here runs on Fractions, so determinants, ranks and the bracket
-invariant are computed without floating point.  It backs the randomized
-certificate that the reduced Turnbull-Young invariant vanishes on the
-facet-coplanarity variety of the combinatorial cube.
+The algebra itself (Veronese lift, brackets, the invariant, the cube
+closure) is the ring-generic code of ``degeneracy``; this module coerces
+inputs to Fractions, runs it, and adds what only the rationals need: one
+exact elimination behind the determinant and the rank, the rational
+samplers, and the randomized certificate that the reduced Turnbull-Young
+invariant vanishes on the facet-coplanarity variety of the combinatorial
+cube.
 """
 
 from fractions import Fraction
+from math import prod
 
-from .degeneracy import CUBE_LABELS, TY_MONOMIALS
+import numpy as np
+
+from .degeneracy import (
+    CUBE_LABELS,
+    NORMAL_FORM_BASE,
+    cube_closure,
+    invariant_terms,
+    veronese_lift,
+)
 from .exceptions import DegenerateIntersection
 
-Rational = Fraction
 
-
-def _np_svdvals(A):
-    import numpy as np
-
-    return np.linalg.svd(np.array(A, dtype=float), compute_uv=False)
+def _as_vector(v):
+    return [Fraction(x) for x in v]
 
 
 def _as_matrix(M):
-    rows = [[Fraction(x) for x in row] for row in M]
+    rows = [_as_vector(row) for row in M]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("matrix rows must be nonempty and of equal length")
     return rows
 
 
-def exact_det(M):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    A = _as_matrix(M)
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) / prev
-            A[i][k] = Fraction(0)
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+def _eliminate(A):
+    """Gaussian elimination of the rational matrix A in place.
 
-
-def exact_rank(M):
-    """Exact rank via Gaussian elimination over the rationals."""
-    A = _as_matrix(M)
+    Returns the pivots, one per rank, and the sign of the row permutation.
+    Fraction division is exact, so fraction-free (Bareiss) updates gain
+    nothing here; on the certificate's 8x10 Veronese matrices they made the
+    rank about twice as slow.
+    """
     n_rows, n_cols = len(A), len(A[0])
-    rank = 0
-    row = 0
+    sign = 1
+    pivots = []
     for col in range(n_cols):
+        row = len(pivots)
+        if row == n_rows:
+            break
         pivot = next((i for i in range(row, n_rows) if A[i][col] != 0), None)
         if pivot is None:
             continue
-        A[row], A[pivot] = A[pivot], A[row]
+        if pivot != row:
+            A[row], A[pivot] = A[pivot], A[row]
+            sign = -sign
         pv = A[row][col]
         for i in range(row + 1, n_rows):
             if A[i][col] != 0:
                 f = A[i][col] / pv
-                for j in range(col, n_cols):
+                for j in range(col + 1, n_cols):
                     A[i][j] -= f * A[row][j]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+        pivots.append(pv)
+    return pivots, sign
 
 
-def exact_kernel(M):
-    """Exact basis of the right null space over the rationals.
-
-    Returns a list of length-n_cols rational vectors (free-variable basis
-    from the reduced row echelon form); empty for full column rank.
-    """
+def exact_det(M):
+    """Exact determinant: the signed product of the elimination pivots."""
     A = _as_matrix(M)
-    n_rows, n_cols = len(A), len(A[0])
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(row, n_rows) if A[i][col] != 0), None)
-        if pivot is None:
-            continue
-        A[row], A[pivot] = A[pivot], A[row]
-        pv = A[row][col]
-        A[row] = [x / pv for x in A[row]]
-        for i in range(n_rows):
-            if i != row and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -A[r][fc]
-        basis.append(v)
-    return basis
+    n = len(A)
+    if any(len(r) != n for r in A):
+        raise ValueError("determinant needs a square matrix")
+    pivots, sign = _eliminate(A)
+    return prod(pivots, start=Fraction(sign)) if len(pivots) == n else Fraction(0)
 
 
-def exact_pencil_cubic(F1, F2):
-    """Exact coefficients (c3, c2, c1, c0) of det(a*F1 + (1-a)*F2)."""
-    F1 = _as_matrix(F1)
-    F2 = _as_matrix(F2)
-    nodes = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]
-    vals = [
-        exact_det(
-            [
-                [a * x + (1 - a) * y for x, y in zip(r1, r2)]
-                for r1, r2 in zip(F1, F2)
-            ]
-        )
-        for a in nodes
-    ]
-    # Solve the 4x4 Vandermonde system exactly.
-    V = [[a**3, a**2, a, Fraction(1)] for a in nodes]
-    aug = [row + [val] for row, val in zip(V, vals)]
-    for col in range(4):
-        pivot = next(i for i in range(col, 4) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(4):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(aug[i][4] for i in range(4))
-
-
-def cross4(a, b, c):
-    """Generalized cross product in 4 coordinates.
-
-    Returns n with n . x = det([x; a; b; c]) for every x, i.e. the vector
-    of signed 3x3 maximal minors of the stacked rows a, b, c.
-    """
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    c = [Fraction(x) for x in c]
-
-    def minor(j):
-        cols = [k for k in range(4) if k != j]
-        m = [[v[k] for k in cols] for v in (a, b, c)]
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    return [(-1) ** j * minor(j) for j in range(4)]
-
-
-def exact_veronese(p):
-    """Degree-2 monomial lift of a rational point of P^3 (10 entries)."""
-    x1, x2, x3, x4 = (Fraction(x) for x in p)
-    return [
-        x1 * x1,
-        x1 * x2,
-        x1 * x3,
-        x1 * x4,
-        x2 * x2,
-        x2 * x3,
-        x2 * x4,
-        x3 * x3,
-        x3 * x4,
-        x4 * x4,
-    ]
+def exact_rank(M):
+    """Exact rank over the rationals."""
+    return len(_eliminate(_as_matrix(M))[0])
 
 
 def exact_veronese_matrix(P):
-    return [exact_veronese(p) for p in P]
+    """Degree-2 Veronese lifts of rational points of P^3, one row each."""
+    return veronese_lift(np.array(_as_matrix(P), dtype=object)).tolist()
 
 
 def exact_turnbull_young(config):
@@ -191,21 +93,16 @@ def exact_turnbull_young(config):
     """
     if len(config) != 10:
         raise ValueError("need the full 10-point labeled configuration")
-    total = Fraction(0)
-    for sign, brackets in TY_MONOMIALS:
-        prod = Fraction(sign)
-        for idx in brackets:
-            prod *= exact_det([config[i] for i in idx])
-        total += prod
-    return total
+    return sum(invariant_terms([_as_vector(p) for p in config]), Fraction(0))
 
 
-# Base vertices of the normal-form cube: 0 at the origin, 3, 2, 9 the unit
-# vectors (homogeneous, last coordinate 1).
-_V0 = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-_V3 = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-_V2 = (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
-_V9 = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
+def _affine(v):
+    v = _as_vector(v)
+    if len(v) == 3:
+        v.append(Fraction(1))
+    if len(v) != 4 or v[3] == 0:
+        raise ValueError("vertex must be an affine point")
+    return v
 
 
 def exact_cube_closure(v1, v6, v7):
@@ -215,21 +112,8 @@ def exact_cube_closure(v1, v6, v7):
     rational affine 3-vector or homogeneous 4-vector).  Vertex 8 is the
     intersection of the facet planes through {1,2,7}, {1,3,6} and {6,7,9}.
     """
-
-    def hom(v):
-        v = [Fraction(x) for x in v]
-        if len(v) == 3:
-            v = v + [Fraction(1)]
-        if len(v) != 4 or v[3] == 0:
-            raise ValueError("vertex must be an affine point")
-        return [x / v[3] for x in v]
-
-    p1, p6, p7 = hom(v1), hom(v6), hom(v7)
-    plane_a = cross4(p1, _V2, p7)
-    plane_b = cross4(p1, _V3, p6)
-    plane_c = cross4(p6, p7, _V9)
-    v8 = cross4(plane_a, plane_b, plane_c)
-    if all(x == 0 for x in v8) or v8[3] == 0:
+    v8 = cube_closure(_affine(v1), _affine(v6), _affine(v7))
+    if v8[3] == 0:
         raise DegenerateIntersection("facet planes do not meet in an affine point")
     return tuple(x / v8[3] for x in v8)
 
@@ -255,21 +139,12 @@ def _positive_fraction(rng, spread):
 def normal_form_cube(rng, spread=1):
     """Sample the normal-form cube: returns 8 rational homogeneous vertices
     in label order 0,1,2,3,6,7,8,9."""
-    v1 = (_positive_fraction(rng, spread), _positive_fraction(rng, spread), Fraction(0))
-    v6 = (_positive_fraction(rng, spread), Fraction(0), _positive_fraction(rng, spread))
-    v7 = (Fraction(0), _positive_fraction(rng, spread), _positive_fraction(rng, spread))
-    one = Fraction(1)
-    v8 = exact_cube_closure(v1, v6, v7)
-    return (
-        _V0,
-        (v1[0], v1[1], v1[2], one),
-        _V2,
-        _V3,
-        (v6[0], v6[1], v6[2], one),
-        (v7[0], v7[1], v7[2], one),
-        v8,
-        _V9,
-    )
+    verts = dict(NORMAL_FORM_BASE)
+    verts[1] = (_positive_fraction(rng, spread), _positive_fraction(rng, spread), 0, 1)
+    verts[6] = (_positive_fraction(rng, spread), 0, _positive_fraction(rng, spread), 1)
+    verts[7] = (0, _positive_fraction(rng, spread), _positive_fraction(rng, spread), 1)
+    verts[8] = exact_cube_closure(verts[1], verts[6], verts[7])
+    return tuple(tuple(_as_vector(verts[lab])) for lab in CUBE_LABELS)
 
 
 def _random_affine(rng, max_tries=200):
@@ -283,7 +158,7 @@ def _random_affine(rng, max_tries=200):
         # Reject ill-conditioned maps: they squash the cube toward a
         # degenerate configuration.  The check is float-only; the map
         # itself stays exact.
-        sv = _np_svdvals(A)
+        sv = np.linalg.svd(np.array(A, dtype=float), compute_uv=False)
         if sv[-1] >= sv[0] / 4.0:
             return A
     raise DegenerateIntersection("could not sample an invertible affine map")

@@ -25,7 +25,9 @@ def as_point(p, dim):
     v = np.asarray(p, dtype=float).reshape(-1)
     if v.shape != (dim,):
         raise ValueError(f"expected a {dim}-vector, got shape {v.shape}")
-    if not np.any(v):
+    if not np.isfinite(v).all():
+        raise ValueError("homogeneous point must have finite coordinates")
+    if not v.any():
         raise ValueError("homogeneous point must have a nonzero coordinate")
     return v
 
@@ -35,7 +37,9 @@ def as_points(pts, dim):
     arr = np.atleast_2d(np.asarray(pts, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"expected (n, {dim}) points, got shape {arr.shape}")
-    if not np.all(np.any(arr != 0.0, axis=1)):
+    if not np.isfinite(arr).all():
+        raise ValueError("homogeneous points must have finite coordinates")
+    if not arr.any(axis=1).all():
         raise ValueError("every homogeneous point needs a nonzero coordinate")
     return arr
 
@@ -110,11 +114,6 @@ def canonical_fmatrix(F):
     if F.shape != (3, 3):
         raise ValueError(f"fundamental matrix must be 3x3, got {F.shape}")
     return canon(F)
-
-
-def is_valid_fmatrix(F, tol=1e-9):
-    """Rank-2 validity predicate on the unit-scaled matrix."""
-    return abs(np.linalg.det(canonical_fmatrix(F))) <= tol
 
 
 def epipolar_residual(F, X, Y):

@@ -13,7 +13,9 @@ import numpy as np
 from .degeneracy import (
     CubeConfig,
     UNIT_CUBE_VERTICES,
-    config_ten,
+    VERONESE_I,
+    VERONESE_J,
+    cross4,
     kernel_basis,
     veronese_matrix,
 )
@@ -44,37 +46,12 @@ def coeffs_to_matrix(c):
 
     Off-diagonal monomial coefficients split symmetrically: Q_ij = c/2.
     """
-    c = np.asarray(c, dtype=float).reshape(10)
-    Q = np.array(
-        [
-            [c[0], c[1] / 2, c[2] / 2, c[3] / 2],
-            [c[1] / 2, c[4], c[5] / 2, c[6] / 2],
-            [c[2] / 2, c[5] / 2, c[7], c[8] / 2],
-            [c[3] / 2, c[6] / 2, c[8] / 2, c[9]],
-        ]
-    )
-    return Q
+    Q = np.zeros((4, 4))
+    Q[VERONESE_I, VERONESE_J] = np.asarray(c, dtype=float).reshape(10)
+    return (Q + Q.T) / 2
 
 
-def matrix_to_coeffs(Q):
-    Q = np.asarray(Q, dtype=float).reshape(4, 4)
-    return np.array(
-        [
-            Q[0, 0],
-            2 * Q[0, 1],
-            2 * Q[0, 2],
-            2 * Q[0, 3],
-            Q[1, 1],
-            2 * Q[1, 2],
-            2 * Q[1, 3],
-            Q[2, 2],
-            2 * Q[2, 3],
-            Q[3, 3],
-        ]
-    )
-
-
-def quadric_through_points(P, rank_tol=DEFAULT_TOL):
+def quadric_through_points(P):
     """The unique quadric through 9 or 10 points (up to scale).
 
     Requires the Veronese matrix of the configuration to have numerical
@@ -83,22 +60,12 @@ def quadric_through_points(P, rank_tol=DEFAULT_TOL):
     """
     P = as_points(P, 4)
     V = veronese_matrix(P)
-    basis = kernel_basis(V, rank_tol=rank_tol)
+    basis = kernel_basis(V)
     if len(basis) == 0:
         raise NoQuadric("no quadric passes through the configuration")
     if len(basis) > 1:
         raise PencilOfQuadrics(f"kernel dimension {len(basis)} > 1")
     return canon(coeffs_to_matrix(basis[0]))
-
-
-def cross4f(a, b, c):
-    """Float generalized cross product: n with n . x = det([x; a; b; c])."""
-    M = np.vstack([np.zeros(4), a, b, c])
-    out = np.empty(4)
-    for j in range(4):
-        cols = [k for k in range(4) if k != j]
-        out[j] = (-1) ** j * np.linalg.det(M[1:][:, cols])
-    return out
 
 
 def unit_cube_quadric(f1, f2):
@@ -110,10 +77,10 @@ def unit_cube_quadric(f1, f2):
     """
     f1 = as_point(f1, 4)
     f2 = as_point(f2, 4)
-    ones = np.ones(4)
     a = f1**2 / np.max(f1**2)
     b = f2**2 / np.max(f2**2)
-    d = cross4f(ones, a, b)
+    # cross4 runs on Python floats: numpy scalar arithmetic is slower.
+    d = np.array(cross4((1.0, 1.0, 1.0, 1.0), a.tolist(), b.tolist()))
     if np.linalg.norm(d) <= 1e-12 * max(
         1.0, np.linalg.norm(a) * np.linalg.norm(b)
     ):
@@ -121,7 +88,7 @@ def unit_cube_quadric(f1, f2):
     return canon(np.diag(d))
 
 
-def inertia(Q, zero_tol=DEFAULT_TOL):
+def inertia(Q):
     """Canonicalized eigenvalue sign counts (n+, n-, n0) and the margin.
 
     The global sign is flipped so n+ >= n-.
@@ -133,7 +100,7 @@ def inertia(Q, zero_tol=DEFAULT_TOL):
     wmax = np.max(np.abs(w))
     if wmax == 0.0:
         raise ValueError("zero quadric")
-    thresh = zero_tol * wmax
+    thresh = DEFAULT_TOL * wmax
     n_plus = int(np.sum(w > thresh))
     n_minus = int(np.sum(w < -thresh))
     n_zero = 4 - n_plus - n_minus
@@ -143,9 +110,9 @@ def inertia(Q, zero_tol=DEFAULT_TOL):
     return (n_plus, n_minus, n_zero), margin
 
 
-def classify(Q, zero_tol=DEFAULT_TOL):
+def classify(Q):
     """QuadricClass from the inertia of the symmetric matrix."""
-    (n_plus, n_minus, n_zero), margin = inertia(Q, zero_tol=zero_tol)
+    (n_plus, n_minus, n_zero), margin = inertia(Q)
     if n_zero > 0:
         tag = DEGENERATE
     elif (n_plus, n_minus) == (2, 2):
@@ -191,33 +158,6 @@ def delta1_coordinates(f1, f2):
     if abs(delta) <= 1e-12 * scale:
         raise AtInfinity("delta minor vanishes; normalization impossible")
     return alpha / delta, beta / delta
-
-
-def transport_from_unit_cube(C, tol=1e-8):
-    """Projective map T with T * (unit cube vertex i) ~ C vertex i, or None.
-
-    Solves the stacked cross-product constraints for the 16 entries of T;
-    the map exists only when the least singular value certifies an exact
-    solution of the overdetermined system.
-    """
-    verts = C.vertices if isinstance(C, CubeConfig) else as_points(C, 4)
-    if verts.shape != (8, 4):
-        raise ValueError("need 8 labeled vertices")
-    rows = []
-    for u, v in zip(UNIT_CUBE_VERTICES, verts):
-        vn = v / np.linalg.norm(v)
-        for j in range(4):
-            for k in range(j + 1, 4):
-                row = np.zeros(16)
-                row[4 * j : 4 * j + 4] = vn[k] * u
-                row[4 * k : 4 * k + 4] = -vn[j] * u
-                rows.append(row)
-    A = np.vstack(rows)
-    _, s, vt = np.linalg.svd(A)
-    if s[-1] > tol * s[0]:
-        return None
-    T = vt[-1].reshape(4, 4)
-    return T
 
 
 @dataclass(frozen=True)

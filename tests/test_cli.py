@@ -56,6 +56,14 @@ class TestEstimate:
         path.write_text("a,b\n1,2\n")
         assert main(["estimate", "--input", str(path)]) == 2
 
+    def test_nan_input_rejected(self, tmp_path, capsys):
+        X = X_IMAGE.copy()
+        X[3, 0] = np.nan
+        path = tmp_path / "nan.csv"
+        write_correspondences(path, X, Y_IMAGE)
+        assert main(["estimate", "--input", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestVerifyDegeneracy:
     def test_cube_audit(self, tmp_path, capsys):

@@ -15,7 +15,6 @@ from epicube.degeneracy import (
     turnbull_young_reduced,
     turnbull_young_terms,
     unit_cube,
-    veronese24,
     veronese_matrix,
 )
 from epicube.exceptions import LengthMismatch
@@ -24,7 +23,7 @@ from epicube.projective import focal_point, project_all
 
 class TestVeronese:
     def test_monomial_order(self):
-        v = veronese24([2.0, 3.0, 5.0, 7.0])
+        v = veronese_matrix([[2.0, 3.0, 5.0, 7.0]])[0]
         expected = [4, 6, 10, 14, 9, 15, 21, 25, 35, 49]
         assert np.allclose(v, expected)
 
@@ -143,11 +142,6 @@ class TestRandomCube:
             assert ok
             aff = cube.vertices[:, :3] / cube.vertices[:, 3][:, None]
             assert np.all(np.abs(aff) <= 1.0 + 1e-12)
-
-    def test_exact_preimage_attached(self, rng):
-        cube = random_combinatorial_cube(rng)
-        assert cube.exact is not None
-        assert len(cube.exact) == 8
 
     def test_image_rank_drop(self, rng):
         # The central claim: Z of any cube image has rank at most 7.

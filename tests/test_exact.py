@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicube.degeneracy import numerical_rank, veronese_matrix
+from epicube.degeneracy import bracket, cross4, numerical_rank, veronese_matrix
 from epicube.exact import (
-    cross4,
     exact_config_ten,
     exact_det,
-    exact_kernel,
-    exact_pencil_cubic,
     exact_rank,
     exact_turnbull_young,
     exact_veronese_matrix,
@@ -52,20 +49,17 @@ class TestExactDet:
     def test_identity(self):
         assert exact_det([[1, 0], [0, 1]]) == 1
 
+    def test_row_swaps_and_zero_columns(self):
+        assert exact_det([[0, 1], [1, 0]]) == -1
+        assert exact_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == -10
+        assert exact_det([[0, 1], [0, 2]]) == 0
+
 
 class TestExactRankKernel:
     def test_rank_matches_numpy_on_integers(self, rng):
         for _ in range(20):
             M = rng.integers(-3, 4, size=(4, 6)).tolist()
             assert exact_rank(M) == np.linalg.matrix_rank(np.array(M, dtype=float))
-
-    def test_kernel_vectors_annihilated(self, rng):
-        M = rng.integers(-3, 4, size=(3, 5)).tolist()
-        ker = exact_kernel(M)
-        assert len(ker) == 5 - exact_rank(M)
-        for v in ker:
-            for row in M:
-                assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
 
 class TestCross4:
@@ -78,22 +72,16 @@ class TestCross4:
         for r in rows:
             assert sum(a * b for a, b in zip(n, r)) == 0
 
+    @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=4, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_bracket_is_determinant(self, rows):
+        assert bracket(*rows) == cofactor_det(rows)
+
     def test_vanishes_iff_dependent(self):
         a = (1, 0, 0, 0)
         b = (0, 1, 0, 0)
         assert any(x != 0 for x in cross4(a, b, (0, 0, 1, 0)))
         assert all(x == 0 for x in cross4(a, b, (1, 1, 0, 0)))
-
-
-class TestExactPencilCubic:
-    def test_matches_float_determinant(self, rng):
-        F1 = rng.integers(-3, 4, size=(3, 3))
-        F2 = rng.integers(-3, 4, size=(3, 3))
-        c3, c2, c1, c0 = exact_pencil_cubic(F1.tolist(), F2.tolist())
-        for a in (0.5, -1.5, 3.0):
-            exact = float(c3) * a**3 + float(c2) * a**2 + float(c1) * a + float(c0)
-            direct = np.linalg.det(a * F1 + (1.0 - a) * F2)
-            assert np.isclose(exact, direct, rtol=1e-10, atol=1e-10)
 
 
 class TestRationalCubes:

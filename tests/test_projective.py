@@ -17,7 +17,6 @@ from epicube.projective import (
     focal_point,
     grassmann_angle,
     homogenize,
-    is_valid_fmatrix,
     proj_equal,
     project,
     project_all,
@@ -36,6 +35,13 @@ class TestValidation:
     def test_as_points_rejects_zero_row(self):
         with pytest.raises(ValueError):
             as_points([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_point([1.0, bad, 1.0], 3)
+        with pytest.raises(ValueError, match="finite"):
+            as_points([[1.0, 0.0, 1.0], [bad, 0.0, 1.0]], 3)
 
 
 class TestCanon:
@@ -96,10 +102,6 @@ class TestFmatrix:
         Fc = canonical_fmatrix(F)
         assert np.isclose(np.linalg.norm(Fc), 1.0)
         assert proj_equal(F, Fc)
-
-    def test_is_valid_fmatrix(self, standard_instance):
-        assert is_valid_fmatrix(standard_instance["F"])
-        assert not is_valid_fmatrix(np.eye(3))
 
 
 class TestResidual:

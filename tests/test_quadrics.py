@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from epicube.degeneracy import UNIT_CUBE_VERTICES, unit_cube
+from epicube.degeneracy import (
+    UNIT_CUBE_VERTICES,
+    VERONESE_I,
+    VERONESE_J,
+    unit_cube,
+    veronese_matrix,
+)
 from epicube.exceptions import AtInfinity, NoQuadric, PencilOfQuadrics
 from epicube.projective import proj_equal
 from epicube.quadrics import (
@@ -14,11 +20,9 @@ from epicube.quadrics import (
     coeffs_to_matrix,
     delta1_coordinates,
     inertia,
-    matrix_to_coeffs,
     quadric_through_points,
     region_grid,
     ruled_region_delta1,
-    transport_from_unit_cube,
     unit_cube_quadric,
 )
 
@@ -29,18 +33,20 @@ F2 = np.array([-2.0, -3.0, -1.0, 1.0])
 
 class TestCoefficients:
     def test_round_trip(self, rng):
-        Q = rng.standard_normal((4, 4))
-        Q = Q + Q.T
-        assert np.allclose(coeffs_to_matrix(matrix_to_coeffs(Q)), Q)
+        # Each coefficient lands on its monomial's entry, split in two off
+        # the diagonal.
+        c = rng.standard_normal(10)
+        Q = coeffs_to_matrix(c)
+        assert np.array_equal(Q, Q.T)
+        split = np.where(VERONESE_I == VERONESE_J, 1.0, 0.5)
+        assert np.array_equal(Q[VERONESE_I, VERONESE_J], split * c)
 
     def test_veronese_pairing(self, rng):
-        # coeffs . veronese(p) must equal p^T Q p.
-        from epicube.degeneracy import veronese24
-
-        Q = rng.standard_normal((4, 4))
-        Q = Q + Q.T
+        # veronese(p) . coeffs must equal p^T Q p.
+        c = rng.standard_normal(10)
         p = rng.standard_normal(4)
-        assert np.isclose(matrix_to_coeffs(Q) @ veronese24(p), p @ Q @ p)
+        Q = coeffs_to_matrix(c)
+        assert np.isclose(veronese_matrix([p])[0] @ c, p @ Q @ p)
 
 
 class TestQuadricThroughPoints:
@@ -147,21 +153,6 @@ class TestDelta1:
     def test_focal_point_at_infinity(self):
         with pytest.raises(AtInfinity):
             delta1_coordinates([1.0, 0.0, 0.0, 0.0], F2)
-
-
-class TestTransport:
-    def test_recovers_projective_map(self, rng):
-        T = rng.standard_normal((4, 4))
-        while abs(np.linalg.det(T)) < 0.1:
-            T = rng.standard_normal((4, 4))
-        C = UNIT_CUBE_VERTICES @ T.T
-        Trec = transport_from_unit_cube(C)
-        assert Trec is not None
-        assert proj_equal(Trec, T, tol=1e-8)
-
-    def test_none_for_non_cube_image(self, rng):
-        C = rng.standard_normal((8, 4))
-        assert transport_from_unit_cube(C) is None
 
 
 class TestRegionGrid:
