@@ -23,29 +23,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_correspondences(path):
-    X, Y = [], []
+def _read_columns(path, names):
+    """The named float columns of a CSV file with a header row, as (n, k)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        need = {"x1", "x2", "x3", "y1", "y2", "y3"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected header x1,x2,x3,y1,y2,y3")
-        for row in reader:
-            X.append([float(row["x1"]), float(row["x2"]), float(row["x3"])])
-            Y.append([float(row["y1"]), float(row["y2"]), float(row["y3"])])
-    return np.array(X), np.array(Y)
-
-
-def _read_world_points(path):
-    P = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"p1", "p2", "p3", "p4"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected header p1,p2,p3,p4")
-        for row in reader:
-            P.append([float(row[k]) for k in ("p1", "p2", "p3", "p4")])
-    return np.array(P)
+        if reader.fieldnames is None or not set(names).issubset(reader.fieldnames):
+            raise ValueError(f"{path}: expected header {','.join(names)}")
+        rows = [[float(row[k]) for k in names] for row in reader]
+    return np.array(rows, dtype=float).reshape(-1, len(names))
 
 
 def _print_fmatrix(F, residual):
@@ -56,7 +41,8 @@ def _print_fmatrix(F, residual):
 
 
 def _cmd_estimate(args):
-    X, Y = _read_correspondences(args.input)
+    XY = _read_columns(args.input, ("x1", "x2", "x3", "y1", "y2", "y3"))
+    X, Y = XY[:, :3], XY[:, 3:]
     if args.algo == "8pt":
         F = eight_point(X, Y)
     elif args.algo == "7pt":
@@ -69,7 +55,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_verify_degeneracy(args):
-    P = _read_world_points(args.input)
+    P = _read_columns(args.input, ("p1", "p2", "p3", "p4"))
     V = degeneracy.veronese_matrix(P)
     vrank = degeneracy.numerical_rank(V)
     print(f"n_points: {len(P)}")

@@ -63,6 +63,9 @@ UNIT_CUBE_VERTICES = np.array(
     ]
 )
 
+# Exact candidates drawn per cube; about a quarter pass the convexity check.
+MAX_CUBE_CANDIDATES = 200
+
 
 @dataclass
 class CubeConfig:
@@ -177,16 +180,16 @@ def numerical_rank(M, rank_tol=DEFAULT_TOL):
     return int(np.sum(s > rank_tol * s[0]))
 
 
-def kernel_basis(M, rank_tol=DEFAULT_TOL):
+def kernel_basis(M):
     """Orthonormal basis of the numerical right null space of M.
 
-    Singular directions with sigma <= rank_tol * sigma_max count as null,
+    Singular directions with sigma <= DEFAULT_TOL * sigma_max count as null,
     as do the extra right singular vectors when M has more columns than
     rows.  Returns a list of vectors; empty for full column rank.
     """
     M = np.asarray(M, dtype=float)
     _, s, vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > rank_tol * s[0])) if s[0] > 0.0 else 0
+    rank = int(np.sum(s > DEFAULT_TOL * s[0])) if s[0] > 0.0 else 0
     return [vt[i] for i in range(rank, M.shape[1])]
 
 
@@ -230,7 +233,7 @@ def facet_planes(vertices):
     return planes
 
 
-def is_combinatorial_cube(vertices, tol=1e-8):
+def is_combinatorial_cube(vertices):
     """Check coplanar facets plus the cube's strict vertex-facet incidence.
 
     ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9.
@@ -240,6 +243,7 @@ def is_combinatorial_cube(vertices, tol=1e-8):
     if V.shape != (8, 4):
         raise ValueError("a cube has exactly 8 vertices")
     diag = {"affine": True, "coplanar": [], "strict_side": []}
+    tol = 1e-8
     if np.any(np.abs(V[:, 3]) <= tol * np.linalg.norm(V, axis=1)):
         diag["affine"] = False
         return False, diag
@@ -265,7 +269,7 @@ def is_combinatorial_cube(vertices, tol=1e-8):
     return ok, diag
 
 
-def random_combinatorial_cube(rng, spread=1.0, max_retries=200):
+def random_combinatorial_cube(rng):
     """Sample a random combinatorial cube inside [-1, 1]^3.
 
     Construction follows the normal-form parametrization: vertex 0 at the
@@ -278,15 +282,13 @@ def random_combinatorial_cube(rng, spread=1.0, max_retries=200):
     """
     from . import exact
 
-    if spread <= 0:
-        raise ValueError("spread must be positive")
-    for _ in range(max_retries):
+    for _ in range(MAX_CUBE_CANDIDATES):
         try:
-            verts_exact = exact.random_rational_cube(rng, spread=spread)
+            verts_exact = exact.random_rational_cube(rng)
         except DegenerateIntersection:
             continue
         verts = np.array([[float(x) for x in v] for v in verts_exact])
         ok, _ = is_combinatorial_cube(verts)
         if ok:
             return CubeConfig(verts)
-    raise ExhaustedRetries(f"no valid cube after {max_retries} attempts")
+    raise ExhaustedRetries(f"no valid cube after {MAX_CUBE_CANDIDATES} attempts")

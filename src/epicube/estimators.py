@@ -173,7 +173,7 @@ def pencil_solve(F1, F2):
     return PencilSolution(roots=np.array(merged), candidates=candidates)
 
 
-def _root_clusters(roots, rel_tol=1e-2):
+def _root_clusters(roots):
     """Greedy partition of polynomial roots into near-multiple clusters."""
     remaining = list(roots)
     clusters = []
@@ -182,7 +182,7 @@ def _root_clusters(roots, rel_tol=1e-2):
         group = [r]
         keep = []
         for q in remaining:
-            if abs(q - r) <= rel_tol * (1.0 + abs(q) + abs(r)):
+            if abs(q - r) <= 1e-2 * (1.0 + abs(q) + abs(r)):
                 group.append(q)
             else:
                 keep.append(q)
@@ -191,14 +191,14 @@ def _root_clusters(roots, rel_tol=1e-2):
     return clusters
 
 
-def _polish_rank2_root(alpha, F1, F2, iters=8):
+def _polish_rank2_root(alpha, F1, F2):
     """Newton refinement of det(a*F1 + (1-a)*F2) = 0 on sigma_min.
 
     d sigma_min / d alpha = u3^T (F1 - F2) v3 for the smallest singular
     pair (u3, v3); one step is exact in the V-shaped multiple-root case.
     """
     D = F1 - F2
-    for _ in range(iters):
+    for _ in range(8):
         M = alpha * F1 + (1.0 - alpha) * F2
         U, s, Vt = np.linalg.svd(M)
         if s[2] <= 1e-15 * s[0]:
@@ -226,6 +226,7 @@ def seven_point(X, Y):
 
 
 def _all_affine(P):
+    P = P / np.abs(P).max(axis=1)[:, None]  # the norm must not overflow
     return bool(np.all(np.abs(P[:, 2]) > 1e-12 * np.linalg.norm(P, axis=1)))
 
 

@@ -96,82 +96,63 @@ def exact_turnbull_young(config):
     return sum(invariant_terms([_as_vector(p) for p in config]), Fraction(0))
 
 
-def _affine(v):
-    v = _as_vector(v)
-    if len(v) == 3:
-        v.append(Fraction(1))
-    if len(v) != 4 or v[3] == 0:
-        raise ValueError("vertex must be an affine point")
-    return v
-
-
-def exact_cube_closure(v1, v6, v7):
-    """Complete the normal-form cube: exact vertex 8.
-
-    v1 lies on the xy-plane, v6 on the xz-plane, v7 on the yz-plane (each a
-    rational affine 3-vector or homogeneous 4-vector).  Vertex 8 is the
-    intersection of the facet planes through {1,2,7}, {1,3,6} and {6,7,9}.
-    """
-    v8 = cube_closure(_affine(v1), _affine(v6), _affine(v7))
-    if v8[3] == 0:
-        raise DegenerateIntersection("facet planes do not meet in an affine point")
-    return tuple(x / v8[3] for x in v8)
-
-
-def random_fraction(rng, lo, hi, max_den=1000):
-    """Uniform-ish rational in [lo, hi] with denominator <= max_den."""
-    den = int(rng.integers(1, max_den + 1))
+def random_fraction(rng, lo, hi):
+    """Uniform-ish rational in [lo, hi] with denominator <= 1000."""
+    den = int(rng.integers(1, 1001))
     num = int(rng.integers(int(lo * den), int(hi * den) + 1))
     return Fraction(num, den)
 
 
-def random_rational_point(rng, lo=-10, hi=10):
-    return tuple([random_fraction(rng, lo, hi) for _ in range(3)] + [Fraction(1)])
+def random_rational_point(rng):
+    """Random affine rational point of P^3 with coordinates in [-10, 10]."""
+    return tuple([random_fraction(rng, -10, 10) for _ in range(3)] + [Fraction(1)])
 
 
-def _positive_fraction(rng, spread):
-    # Floor at 1/5 of the spread: coordinates arbitrarily close to zero
-    # flatten the cube toward a degenerate (noise-hypersensitive) shape.
-    s = Fraction(spread).limit_denominator(10**6)
-    return Fraction(int(rng.integers(200, 1001)), 1000) * s
+def _positive_fraction(rng):
+    # Floor at 1/5: coordinates arbitrarily close to zero flatten the cube
+    # toward a degenerate (noise-hypersensitive) shape.
+    return Fraction(int(rng.integers(200, 1001)), 1000)
 
 
-def normal_form_cube(rng, spread=1):
+def normal_form_cube(rng):
     """Sample the normal-form cube: returns 8 rational homogeneous vertices
     in label order 0,1,2,3,6,7,8,9."""
     verts = dict(NORMAL_FORM_BASE)
-    verts[1] = (_positive_fraction(rng, spread), _positive_fraction(rng, spread), 0, 1)
-    verts[6] = (_positive_fraction(rng, spread), 0, _positive_fraction(rng, spread), 1)
-    verts[7] = (0, _positive_fraction(rng, spread), _positive_fraction(rng, spread), 1)
-    verts[8] = exact_cube_closure(verts[1], verts[6], verts[7])
-    return tuple(tuple(_as_vector(verts[lab])) for lab in CUBE_LABELS)
+    verts[1] = (_positive_fraction(rng), _positive_fraction(rng), 0, 1)
+    verts[6] = (_positive_fraction(rng), 0, _positive_fraction(rng), 1)
+    verts[7] = (0, _positive_fraction(rng), _positive_fraction(rng), 1)
+    verts = {lab: _as_vector(v) for lab, v in verts.items()}
+    v8 = cube_closure(verts[1], verts[6], verts[7])
+    if v8[3] == 0:
+        raise DegenerateIntersection("facet planes do not meet in an affine point")
+    verts[8] = [x / v8[3] for x in v8]
+    return tuple(tuple(verts[lab]) for lab in CUBE_LABELS)
 
 
-def _random_affine(rng, max_tries=200):
-    for _ in range(max_tries):
+def _random_affine(rng):
+    for _ in range(200):
         A = [
             [Fraction(int(rng.integers(-1000, 1001)), 1000) for _ in range(3)]
             for _ in range(3)
         ]
-        if exact_det(A) == 0:
-            continue
         # Reject ill-conditioned maps: they squash the cube toward a
         # degenerate configuration.  The check is float-only; the map
-        # itself stays exact.
+        # itself stays exact.  It rejects every singular map but the zero
+        # one, whose image the box fit rejects as flat.
         sv = np.linalg.svd(np.array(A, dtype=float), compute_uv=False)
         if sv[-1] >= sv[0] / 4.0:
             return A
     raise DegenerateIntersection("could not sample an invertible affine map")
 
 
-def random_rational_cube(rng, spread=1, apply_map=True):
+def random_rational_cube(rng, apply_map=True):
     """Random combinatorial-cube candidate with exact rational vertices,
     affinely mapped into the box [-1, 1]^3.
 
     Facet coplanarity holds exactly by construction; convexity is not
     checked here (callers reject on the floating-point incidence test).
     """
-    verts = normal_form_cube(rng, spread=spread)
+    verts = normal_form_cube(rng)
     pts = [list(v[:3]) for v in verts]
     if apply_map:
         A = _random_affine(rng)
@@ -203,7 +184,6 @@ def vanishing_certificate(rng, trials=100, controls=20):
     """
     vanished = 0
     rank_ok = 0
-    observed_ranks = []
     for i in range(trials):
         cube = random_rational_cube(rng, apply_map=bool(i % 2))
         f1 = random_rational_point(rng)
@@ -211,9 +191,7 @@ def vanishing_certificate(rng, trials=100, controls=20):
         config = exact_config_ten(cube, f1, f2)
         if exact_turnbull_young(config) == 0:
             vanished += 1
-        r = exact_rank(exact_veronese_matrix(cube))
-        observed_ranks.append(r)
-        if r <= 7:
+        if exact_rank(exact_veronese_matrix(cube)) <= 7:
             rank_ok += 1
     nonzero_controls = 0
     for _ in range(controls):
@@ -231,7 +209,6 @@ def vanishing_certificate(rng, trials=100, controls=20):
         "trials": trials,
         "vanished": vanished,
         "rank_ok": rank_ok,
-        "observed_ranks": observed_ranks,
         "controls": controls,
         "nonzero_controls": nonzero_controls,
     }

@@ -44,7 +44,7 @@ def as_points(pts, dim):
     return arr
 
 
-def canon(v, tol=1e-12):
+def canon(v):
     """Canonical projective representative: unit norm, first nonzero entry > 0."""
     v = np.asarray(v, dtype=float)
     nrm = np.linalg.norm(v)
@@ -52,7 +52,7 @@ def canon(v, tol=1e-12):
         raise ZeroMatrix("cannot canonicalize the zero vector")
     out = v / nrm
     flat = out.reshape(-1)
-    lead = flat[np.abs(flat) > tol][0]
+    lead = flat[np.abs(flat) > 1e-12][0]
     if lead < 0:
         out = -out
     return out
@@ -67,7 +67,9 @@ def dehomogenize(pts):
     """(n, d) homogeneous points -> (n, d-1) affine points."""
     arr = np.atleast_2d(np.asarray(pts, dtype=float))
     w = arr[:, -1]
-    if np.any(np.abs(w) < 1e-14 * np.linalg.norm(arr, axis=1)):
+    # Largest coordinate 1 first, so the norm cannot underflow or overflow.
+    unit = arr / np.abs(arr).max(axis=1)[:, None]
+    if np.any(np.abs(unit[:, -1]) < 1e-14 * np.linalg.norm(unit, axis=1)):
         raise ValueError("point at infinity cannot be dehomogenized")
     return arr[:, :-1] / w[:, None]
 
@@ -97,13 +99,13 @@ def project_all(camera, P):
     return np.vstack([project(camera, p) for p in P])
 
 
-def focal_point(camera, rank_tol=DEFAULT_TOL):
+def focal_point(camera):
     """Camera center: the unique point (up to scale) with camera @ p = 0."""
     A = np.asarray(camera, dtype=float)
     if A.shape != (3, 4):
         raise ValueError(f"camera must be 3x4, got {A.shape}")
     _, s, vt = np.linalg.svd(A)
-    if s[2] <= rank_tol * s[0]:
+    if s[2] <= DEFAULT_TOL * s[0]:
         raise RankDeficientCamera("camera matrix has rank < 3")
     return canon(vt[3])
 
@@ -129,6 +131,9 @@ def epipolar_residual(F, X, Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
     if len(X) < 1:
         raise ValueError("need at least one correspondence")
+    # Largest coordinate 1 first, so the norms cannot underflow or overflow.
+    X = X / np.abs(X).max(axis=1)[:, None]
+    Y = Y / np.abs(Y).max(axis=1)[:, None]
     Xu = X / np.linalg.norm(X, axis=1)[:, None]
     Yu = Y / np.linalg.norm(Y, axis=1)[:, None]
     r = np.einsum("ij,jk,ik->i", Yu, Fn, Xu)

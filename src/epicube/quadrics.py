@@ -141,9 +141,9 @@ def ruled_region_delta1(alpha, beta):
 def delta1_coordinates(f1, f2):
     """(alpha, beta) of the delta=1 normal form diag(alpha, beta, -a-b-1, 1).
 
-    Uses 2x2 determinant expressions in the squared affine focal
-    coordinates; the result agrees with unit_cube_quadric up to its scale.
-    Raises AtInfinity when the delta minor vanishes.
+    The diagonal of unit_cube_quadric on the affine focal points, scaled so
+    its last entry (the delta minor) is 1.  Raises AtInfinity when a focal
+    point is at infinity or the delta minor vanishes.
     """
     f1 = as_point(f1, 4)
     f2 = as_point(f2, 4)
@@ -151,13 +151,11 @@ def delta1_coordinates(f1, f2):
         raise AtInfinity("focal point at infinity")
     x = (f1[:3] / f1[3]) ** 2
     y = (f2[:3] / f2[3]) ** 2
-    alpha = (x[1] - x[2]) * (y[2] - 1.0) - (x[2] - 1.0) * (y[1] - y[2])
-    beta = -((x[0] - x[2]) * (y[2] - 1.0) - (x[2] - 1.0) * (y[0] - y[2]))
-    delta = -((x[0] - x[2]) * (y[1] - y[2]) - (x[1] - x[2]) * (y[0] - y[2]))
+    d = cross4((1.0, 1.0, 1.0, 1.0), x.tolist() + [1.0], y.tolist() + [1.0])
     scale = max(1.0, np.max(np.abs(x)) * np.max(np.abs(y)))
-    if abs(delta) <= 1e-12 * scale:
+    if abs(d[3]) <= 1e-12 * scale:
         raise AtInfinity("delta minor vanishes; normalization impossible")
-    return alpha / delta, beta / delta
+    return d[0] / d[3], d[1] / d[3]
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,8 @@ class PlaneChart:
         return np.array([p[0], p[1], p[2], 1.0])
 
 
-def _is_unit_cube(verts, tol=1e-12):
-    return np.allclose(verts, UNIT_CUBE_VERTICES, atol=tol)
+def _is_unit_cube(verts):
+    return np.allclose(verts, UNIT_CUBE_VERTICES, atol=1e-12)
 
 
 def region_grid(C, f1, chart, resolution, method="auto"):

@@ -21,7 +21,7 @@ from .estimators import (
     fundamental_from_cameras,
     seven_point,
 )
-from .exceptions import EpicubeError
+from .exceptions import EpicubeError, ExhaustedRetries
 from .quadrics import NONRULED_NONDEGENERATE, classify, quadric_through_points
 from .projective import (
     as_points,
@@ -35,9 +35,16 @@ from .projective import (
 
 ALGOS = ("8pt", "7pt", "cube8")
 FAILED_ANGLE = math.pi / 2.0
+CAMERA_RADIUS = 6.0
 # Least camera-center separation, in units of the camera radius; the +-5%
-# shell allows at most 2.1, so the camera sampler terminates.
+# shell allows at most 2.1.
 MIN_SEPARATION = 1.97
+# Retry budgets: about 1 in 34 camera draws is separated enough and 18% of
+# camera pairs give a non-ruled quadric, so one budget runs out with
+# probability (33/34)^10000 ~ 2e-130 or 0.82^1000 ~ 7e-87, and a 2000-trial
+# x 11-level sweep (~122_000 pairs, 22_000 geometries) hits one below 1e-80.
+MAX_CAMERA_DRAWS = 10_000
+MAX_GEOMETRY_ATTEMPTS = 1_000
 
 
 @dataclass
@@ -56,8 +63,6 @@ class TrialRecord:
 class ExperimentConfig:
     trials: int = 2000
     noise_levels: tuple = tuple(np.linspace(0.0, 0.10, 11))
-    cube_spread: float = 1.0
-    camera_radius: float = 6.0
     seed: int = 0
 
     def __post_init__(self):
@@ -87,11 +92,11 @@ def sample_camera_pair(rng, radius):
     Resamples until the centers are at least 1.97 * radius apart
     (wide-baseline pairs viewing the scene from nearly opposite sides).
     Narrow baselines amplify image noise dramatically in the near-critical
-    cube geometry.
+    cube geometry.  Raises ExhaustedRetries after MAX_CAMERA_DRAWS draws.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    while True:
+    for _ in range(MAX_CAMERA_DRAWS):
         centers = []
         for _ in range(2):
             v = rng.standard_normal(3)
@@ -99,8 +104,8 @@ def sample_camera_pair(rng, radius):
             r = radius * rng.uniform(0.95, 1.05)
             centers.append(r * v)
         if np.linalg.norm(centers[0] - centers[1]) >= MIN_SEPARATION * radius:
-            break
-    return look_at_camera(centers[0]), look_at_camera(centers[1])
+            return look_at_camera(centers[0]), look_at_camera(centers[1])
+    raise ExhaustedRetries(f"no separated camera pair in {MAX_CAMERA_DRAWS} draws")
 
 
 def add_noise(pts, sigma_frac, rng):
@@ -124,6 +129,13 @@ def _seed_of(seq):
     return int(seq.generate_state(1)[0])
 
 
+def _seven_point(X, Y):
+    """7-point pencil of the first seven correspondences; the member with
+    the least residual on all of them."""
+    F, _ = seven_point(X[:7], Y[:7]).best(X, Y)
+    return F
+
+
 def run_trial(cfg, trial_idx, sigma):
     """One trial at one noise level; returns a record per algorithm."""
     geo = np.random.SeedSequence([cfg.seed, trial_idx])
@@ -132,34 +144,24 @@ def run_trial(cfg, trial_idx, sigma):
 
     cube_rng = np.random.default_rng(cube_ss)
     cam_rng = np.random.default_rng(cam_ss)
-    cube = random_combinatorial_cube(cube_rng, spread=cfg.cube_spread)
-    attempts = 0
-    while True:
-        attempts += 1
+    cube = random_combinatorial_cube(cube_rng)
+    for attempt in range(1, MAX_GEOMETRY_ATTEMPTS + 1):
         # A ruled 10-point quadric is a critical configuration: several
         # rank-2 pencil members fit the data exactly and no estimator can
         # single one out.  Resample geometry until reconstruction is
         # well-posed (a fresh cube every 16 camera draws).
-        if attempts % 16 == 0:
-            cube = random_combinatorial_cube(cube_rng, spread=cfg.cube_spread)
-        A1, A2 = sample_camera_pair(cam_rng, cfg.camera_radius)
+        if attempt % 16 == 0:
+            cube = random_combinatorial_cube(cube_rng)
+        A1, A2 = sample_camera_pair(cam_rng, CAMERA_RADIUS)
         c1, c2 = focal_point(A1), focal_point(A2)
-        # Cameras whose center hits a cube vertex would break projection.
-        d = np.min(
-            np.linalg.norm(
-                dehomogenize(cube.vertices)[None, :, :]
-                - np.vstack([c1[:3] / c1[3], c2[:3] / c2[3]])[:, None, :],
-                axis=2,
-            )
-        )
-        if d <= 1e-6:
-            continue
         try:
             Q = quadric_through_points(np.vstack([cube.vertices, c1, c2]))
         except EpicubeError:
             continue
         if classify(Q).tag == NONRULED_NONDEGENERATE:
             break
+    else:
+        raise ExhaustedRetries(f"no non-ruled geometry in {MAX_GEOMETRY_ATTEMPTS} attempts")
     F_true = fundamental_from_cameras(A1, A2)
     X = project_all(A1, cube.vertices)
     Y = project_all(A2, cube.vertices)
@@ -168,13 +170,14 @@ def run_trial(cfg, trial_idx, sigma):
     Yn = add_noise(Y, sigma, noise_rng)
 
     records = []
-
-    def record(algo, F=None, failed=False):
-        if failed or F is None:
+    # Built per call, so estimators rebound on this module (traced) are used.
+    for algo, estimate in (("8pt", eight_point), ("7pt", _seven_point), ("cube8", cube_eight_point)):
+        try:
+            F = estimate(Xn, Yn)
+        except EpicubeError:
             angle, resid, failed = FAILED_ANGLE, float("nan"), True
         else:
-            angle = grassmann_angle(F, F_true)
-            resid = epipolar_residual(F, Xn, Yn)
+            angle, resid, failed = grassmann_angle(F, F_true), epipolar_residual(F, Xn, Yn), False
         records.append(
             TrialRecord(
                 trial=trial_idx,
@@ -182,26 +185,11 @@ def run_trial(cfg, trial_idx, sigma):
                 algo=algo,
                 angle_rad=float(angle),
                 residual=resid,
-                failed=bool(failed),
+                failed=failed,
                 cube_seed=cube_seed,
                 cam_seed=cam_seed,
             )
         )
-
-    try:
-        record("8pt", eight_point(Xn, Yn))
-    except EpicubeError:
-        record("8pt", failed=True)
-    try:
-        sol = seven_point(Xn[:7], Yn[:7])
-        F7, _ = sol.best(Xn, Yn)
-        record("7pt", F7)
-    except EpicubeError:
-        record("7pt", failed=True)
-    try:
-        record("cube8", cube_eight_point(Xn, Yn))
-    except EpicubeError:
-        record("cube8", failed=True)
     return records
 
 

@@ -153,7 +153,3 @@ class TestRandomCube:
             X = project_all(A1, cube.vertices)
             Y = project_all(A2, cube.vertices)
             assert numerical_rank(build_Z(X, Y)) <= 7
-
-    def test_spread_must_be_positive(self, rng):
-        with pytest.raises(ValueError):
-            random_combinatorial_cube(rng, spread=0.0)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from epicube.degeneracy import random_combinatorial_cube
 from epicube.estimators import (
     cube_eight_point,
     eckart_young_rank7,
@@ -19,12 +22,14 @@ from epicube.exceptions import (
 )
 from epicube.projective import (
     epipolar_residual,
+    focal_point,
     grassmann_angle,
     homogenize,
     proj_equal,
     project_all,
 )
-from epicube.simulate import add_noise
+from epicube.quadrics import NONRULED_NONDEGENERATE, classify, quadric_through_points
+from epicube.simulate import add_noise, sample_camera_pair
 
 
 def generic_scene(rng, n=8):
@@ -33,6 +38,22 @@ def generic_scene(rng, n=8):
     A1 = np.hstack([np.eye(3), np.array([[4.0], [0.0], [8.0]])])
     A2 = np.hstack([np.eye(3), np.array([[-3.0], [2.0], [9.0]])])
     return project_all(A1, P), project_all(A2, P), fundamental_from_cameras(A1, A2)
+
+
+@pytest.fixture(scope="module")
+def nonruled_pool():
+    """Noise-free images of a few well-posed cube geometries, with true F."""
+    rng = np.random.default_rng(2024)
+    pool = []
+    while len(pool) < 4:
+        cube = random_combinatorial_cube(rng)
+        A1, A2 = sample_camera_pair(rng, 6.0)
+        P = np.vstack([cube.vertices, focal_point(A1), focal_point(A2)])
+        if classify(quadric_through_points(P)).tag == NONRULED_NONDEGENERATE:
+            X = project_all(A1, cube.vertices)
+            Y = project_all(A2, cube.vertices)
+            pool.append((X, Y, fundamental_from_cameras(A1, A2)))
+    return pool
 
 
 class TestHartleyNormalize:
@@ -160,9 +181,6 @@ class TestCubeEightPoint:
     def test_normalization_equivariance(self, rng):
         # On noise-free affine data the normalized and unnormalized paths
         # agree projectively.
-        from epicube.degeneracy import random_combinatorial_cube
-        from epicube.simulate import sample_camera_pair
-
         cube = random_combinatorial_cube(rng)
         A1, A2 = sample_camera_pair(rng, 6.0)
         X = project_all(A1, cube.vertices)
@@ -182,3 +200,20 @@ class TestCubeEightPoint:
     def test_needs_exactly_eight(self, standard_instance):
         with pytest.raises(ValueError):
             cube_eight_point(standard_instance["X"][:7], standard_instance["Y"][:7])
+
+    @given(
+        which=st.integers(0, 3),
+        perm=st.permutations(range(8)),
+        exponents=st.lists(st.integers(-300, 300), min_size=16, max_size=16),
+    )
+    @example(which=0, perm=list(range(8)), exponents=[200] * 16)
+    @example(which=0, perm=list(range(8)), exponents=[-200] * 16)
+    @settings(max_examples=40, deadline=None)
+    def test_permutation_and_extreme_scale_invariance(self, nonruled_pool, which, perm, exponents):
+        # Each homogeneous image point is rescaled by its own 10^k.
+        X, Y, F_true = nonruled_pool[which]
+        scale = 10.0 ** np.array(exponents, dtype=float)[:, None]
+        Xs, Ys = X[perm] * scale[:8], Y[perm] * scale[8:]
+        assert grassmann_angle(cube_eight_point(Xs, Ys), F_true) < 1e-8
+        G = np.arange(9.0).reshape(3, 3)
+        assert epipolar_residual(G, Xs, Ys) == pytest.approx(epipolar_residual(G, X, Y), rel=1e-9)

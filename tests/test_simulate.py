@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from epicube import simulate
+from epicube.exceptions import ExhaustedRetries
 from epicube.projective import focal_point, homogenize, proj_equal
+from epicube.quadrics import RULED_NONDEGENERATE, QuadricClass
 from epicube.simulate import (
     ALGOS,
     CSV_HEADER,
@@ -52,6 +55,12 @@ class TestSampleCameraPair:
     def test_invalid_radius(self, rng):
         with pytest.raises(ValueError):
             sample_camera_pair(rng, 0.0)
+
+    def test_unreachable_separation_exhausts_budget(self, rng, monkeypatch):
+        # The +-5% shell puts the centers at most 2.1 radii apart.
+        monkeypatch.setattr(simulate, "MIN_SEPARATION", 2.2)
+        with pytest.raises(ExhaustedRetries):
+            sample_camera_pair(rng, 6.0)
 
 
 class TestAddNoise:
@@ -107,6 +116,14 @@ class TestRunTrial:
         # ... while the cube-aware variant reconstructs F essentially exactly.
         assert not by_algo["cube8"].failed
         assert by_algo["cube8"].angle_rad < 1e-8
+
+    def test_always_ruled_geometry_exhausts_budget(self, monkeypatch):
+        ruled = QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0))
+        monkeypatch.setattr(simulate, "classify", lambda Q: ruled)
+        monkeypatch.setattr(simulate, "MAX_GEOMETRY_ATTEMPTS", 20)
+        cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=11)
+        with pytest.raises(ExhaustedRetries):
+            run_trial(cfg, 0, 0.0)
 
     def test_geometry_shared_across_levels(self):
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0, 0.05), seed=3)
