@@ -26,7 +26,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_columns(path, names):
     """The named float columns of a CSV file with a header row, as (n, k)."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or not set(names).issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected header {','.join(names)}")
         rows = [[float(row[k]) for k in names] for row in reader]

@@ -169,7 +169,7 @@ def build_Z(X, Y):
     Y = as_points(Y, 3)
     if len(X) != len(Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
-    return np.vstack([np.kron(y, x) for x, y in zip(X, Y)])
+    return (Y[:, :, None] * X[:, None, :]).reshape(len(X), 9)
 
 
 def numerical_rank(M, rank_tol=DEFAULT_TOL):

@@ -17,6 +17,7 @@ from .exceptions import (
     NoRealRoot,
 )
 from .projective import (
+    _unit_rows,
     as_points,
     canonical_fmatrix,
     dehomogenize,
@@ -225,11 +226,6 @@ def seven_point(X, Y):
     return pencil_solve(basis[0].reshape(3, 3), basis[1].reshape(3, 3))
 
 
-def _all_affine(P):
-    P = P / np.abs(P).max(axis=1)[:, None]  # the norm must not overflow
-    return bool(np.all(np.abs(P[:, 2]) > 1e-12 * np.linalg.norm(P, axis=1)))
-
-
 def eckart_young_rank7(Z):
     """Nearest rank-7 matrix in Frobenius norm (trailing sigmas zeroed)."""
     U, s, Vt = np.linalg.svd(np.asarray(Z, dtype=float), full_matrices=False)
@@ -238,22 +234,19 @@ def eckart_young_rank7(Z):
     return (U * s) @ Vt
 
 
-def cube_eight_point(X, Y, normalize=True):
+def cube_eight_point(X, Y):
     """Cube-aware 8-point algorithm.
 
     Conditions the images, truncates Z to rank 7, solves the rank-2 pencil
     of the two kernel generators, and returns the denormalized candidate
-    with minimal epipolar residual on the original points.
+    with minimal epipolar residual on the original points.  Images with a
+    point at infinity cannot be conditioned and are used as given.
     """
     X = as_points(X, 3)
     Y = as_points(Y, 3)
     if len(X) != 8 or len(Y) != 8:
         raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
-    # Conditioning needs affine points; clouds containing points at
-    # infinity (legal homogeneous inputs) go through unnormalized.
-    if normalize and not (_all_affine(X) and _all_affine(Y)):
-        normalize = False
-    if normalize:
+    if np.all(np.abs(_unit_rows(np.vstack([X, Y]))[:, 2]) > 1e-12):
         TX, Xn = hartley_normalize(X)
         TY, Yn = hartley_normalize(Y)
     else:
@@ -263,7 +256,5 @@ def cube_eight_point(X, Y, normalize=True):
     # kernel is spanned by the last two of them.
     _, _, Vt = np.linalg.svd(build_Z(Xn, Yn))
     sol = pencil_solve(Vt[7].reshape(3, 3), Vt[8].reshape(3, 3))
-    denorm = [canonical_fmatrix(TY.T @ F @ TX) for F in sol.candidates]
-    full = PencilSolution(roots=sol.roots, candidates=denorm)
-    F, _ = full.best(X, Y)
-    return F
+    sol.candidates = [canonical_fmatrix(TY.T @ F @ TX) for F in sol.candidates]
+    return sol.best(X, Y)[0]

@@ -25,11 +25,7 @@ def as_point(p, dim):
     v = np.asarray(p, dtype=float).reshape(-1)
     if v.shape != (dim,):
         raise ValueError(f"expected a {dim}-vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("homogeneous point must have finite coordinates")
-    if not v.any():
-        raise ValueError("homogeneous point must have a nonzero coordinate")
-    return v
+    return as_points(v, dim)[0]
 
 
 def as_points(pts, dim):
@@ -39,7 +35,8 @@ def as_points(pts, dim):
         raise ValueError(f"expected (n, {dim}) points, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("homogeneous points must have finite coordinates")
-    if not arr.any(axis=1).all():
+    # arr.all() is cheaper than the row-wise test and settles the usual case.
+    if not (arr.all() or arr.any(axis=1).all()):
         raise ValueError("every homogeneous point needs a nonzero coordinate")
     return arr
 
@@ -63,15 +60,19 @@ def proj_equal(a, b, tol=1e-9):
     return np.allclose(canon(a), canon(b), atol=tol, rtol=0.0)
 
 
+def _unit_rows(P):
+    """Rows of P at unit norm; each is divided by its largest |coordinate|
+    first, so the norm can neither underflow nor overflow."""
+    P = P / np.abs(P).max(axis=1)[:, None]
+    return P / np.linalg.norm(P, axis=1)[:, None]
+
+
 def dehomogenize(pts):
     """(n, d) homogeneous points -> (n, d-1) affine points."""
     arr = np.atleast_2d(np.asarray(pts, dtype=float))
-    w = arr[:, -1]
-    # Largest coordinate 1 first, so the norm cannot underflow or overflow.
-    unit = arr / np.abs(arr).max(axis=1)[:, None]
-    if np.any(np.abs(unit[:, -1]) < 1e-14 * np.linalg.norm(unit, axis=1)):
+    if np.any(np.abs(_unit_rows(arr)[:, -1]) < 1e-14):
         raise ValueError("point at infinity cannot be dehomogenized")
-    return arr[:, :-1] / w[:, None]
+    return arr[:, :-1] / arr[:, -1:]
 
 
 def homogenize(pts):
@@ -85,18 +86,23 @@ def project(camera, p):
 
     Raises FocalPointProjection when p is the camera center.
     """
-    A = np.asarray(camera, dtype=float)
-    v = as_point(p, 4)
-    img = A @ v
-    if np.linalg.norm(img) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(v):
-        raise FocalPointProjection("point projects to the zero vector")
-    return img
+    return project_all(camera, as_point(p, 4))[0]
 
 
 def project_all(camera, P):
-    """Project an (n, 4) world configuration; returns (n, 3) image points."""
+    """Project an (n, 4) world configuration; returns (n, 3) image points.
+
+    Raises FocalPointProjection when any point is the camera center.
+    """
+    A = np.asarray(camera, dtype=float)
     P = as_points(P, 4)
-    return np.vstack([project(camera, p) for p in P])
+    # einsum matches A @ p bit for bit; P @ A.T does not, and its last-bit
+    # changes can flip residual ties between candidates.
+    img = np.einsum("ij,nj->ni", A, P)
+    tol = 1e-12 * np.linalg.norm(A) * np.linalg.norm(P, axis=1)
+    if np.any(np.linalg.norm(img, axis=1) <= tol):
+        raise FocalPointProjection("point projects to the zero vector")
+    return img
 
 
 def focal_point(camera):
@@ -131,12 +137,7 @@ def epipolar_residual(F, X, Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
     if len(X) < 1:
         raise ValueError("need at least one correspondence")
-    # Largest coordinate 1 first, so the norms cannot underflow or overflow.
-    X = X / np.abs(X).max(axis=1)[:, None]
-    Y = Y / np.abs(Y).max(axis=1)[:, None]
-    Xu = X / np.linalg.norm(X, axis=1)[:, None]
-    Yu = Y / np.linalg.norm(Y, axis=1)[:, None]
-    r = np.einsum("ij,jk,ik->i", Yu, Fn, Xu)
+    r = np.einsum("ij,jk,ik->i", _unit_rows(Y), Fn, _unit_rows(X))
     return float(np.sum(r**2))
 
 

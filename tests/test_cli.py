@@ -129,6 +129,19 @@ class TestExactCheck:
         assert "PASS" in out
 
 
+class TestDataErrors:
+    @pytest.mark.parametrize(
+        "command, header",
+        [("estimate", "x1,x2,x3,y1,y2,y3"), ("verify-degeneracy", "p1,p2,p3,p4")],
+    )
+    def test_short_row(self, tmp_path, capsys, command, header):
+        path = tmp_path / "short.csv"
+        fields = header.count(",")  # one fewer than the header names
+        path.write_text(header + "\n" + ",".join(["1"] * fields) + "\n")
+        assert main([command, "--input", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as info:

@@ -178,17 +178,6 @@ class TestCubeEightPoint:
         F = cube_eight_point(standard_instance["X"], standard_instance["Y"])
         assert grassmann_angle(F, standard_instance["F"]) < 1e-10
 
-    def test_normalization_equivariance(self, rng):
-        # On noise-free affine data the normalized and unnormalized paths
-        # agree projectively.
-        cube = random_combinatorial_cube(rng)
-        A1, A2 = sample_camera_pair(rng, 6.0)
-        X = project_all(A1, cube.vertices)
-        Y = project_all(A2, cube.vertices)
-        Fa = cube_eight_point(X, Y, normalize=True)
-        Fb = cube_eight_point(X, Y, normalize=False)
-        assert grassmann_angle(Fa, Fb) < 1e-6
-
     def test_noisy_selection_is_minimal_residual(self, standard_instance, rng):
         Xn = add_noise(standard_instance["X"], 0.01, rng)
         # The second image of the fixture contains points at infinity which
@@ -217,3 +206,23 @@ class TestCubeEightPoint:
         assert grassmann_angle(cube_eight_point(Xs, Ys), F_true) < 1e-8
         G = np.arange(9.0).reshape(3, 3)
         assert epipolar_residual(G, Xs, Ys) == pytest.approx(epipolar_residual(G, X, Y), rel=1e-9)
+
+    @given(
+        which=st.integers(0, 3),
+        e1=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        e2=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+    )
+    @example(which=0, e1=[0.0] * 9, e2=[0.0] * 9)
+    @settings(max_examples=40, deadline=None)
+    def test_homography_equivariance(self, nonruled_pool, which, e1, e2):
+        # H = I + 0.3 E with |E_ij| <= 1 has ||H - I||_2 <= 0.9, so
+        # cond(H) <= 19.  The pool's affine image coordinates lie within 0.3
+        # of the origin, so H keeps every last coordinate above half its size.
+        X, Y, F = nonruled_pool[which]
+        H1 = np.eye(3) + 0.3 * np.reshape(e1, (3, 3))
+        H2 = np.eye(3) + 0.3 * np.reshape(e2, (3, 3))
+        Xh, Yh = X @ H1.T, Y @ H2.T
+        assert np.all(np.abs(Xh[:, 2]) > 0.5 * np.abs(X[:, 2]))
+        assert np.all(np.abs(Yh[:, 2]) > 0.5 * np.abs(Y[:, 2]))
+        expected = np.linalg.inv(H2).T @ F @ np.linalg.inv(H1)
+        assert grassmann_angle(cube_eight_point(Xh, Yh), expected) < 1e-8

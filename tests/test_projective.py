@@ -84,6 +84,13 @@ class TestCamera:
         with pytest.raises(FocalPointProjection):
             project(standard_instance["A1"], c)
 
+    @pytest.mark.parametrize("row", range(8))
+    def test_project_all_focal_point_raises(self, standard_instance, row):
+        P = np.array(standard_instance["cube"], dtype=float)
+        P[row] = focal_point(standard_instance["A1"])
+        with pytest.raises(FocalPointProjection):
+            project_all(standard_instance["A1"], P)
+
     def test_focal_point_in_kernel(self, standard_instance):
         for A in (standard_instance["A1"], standard_instance["A2"]):
             c = focal_point(A)
