@@ -13,12 +13,10 @@ from .exceptions import (
 from .degeneracy import (
     CubeConfig,
     build_Z,
-    config_ten,
     is_combinatorial_cube,
     kernel_basis,
     numerical_rank,
     random_combinatorial_cube,
-    turnbull_young_reduced,
     unit_cube,
     veronese_matrix,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateIntersection, ExhaustedRetries, LengthMismatch
-from .projective import DEFAULT_TOL, as_point, as_points
+from .projective import DEFAULT_TOL, as_points
 
 # Vertex labels of the cube inside the 10-point labeling; 4 and 5 are the
 # focal-point slots.
@@ -193,36 +193,6 @@ def kernel_basis(M):
     return [vt[i] for i in range(rank, M.shape[1])]
 
 
-def config_ten(cube, f1, f2):
-    """Assemble the (10, 4) labeled configuration: cube + focal points 4, 5."""
-    verts = cube.vertices if isinstance(cube, CubeConfig) else as_points(cube, 4)
-    if verts.shape != (8, 4):
-        raise ValueError("cube part must have 8 points")
-    out = np.empty((10, 4))
-    for lab, row in zip(CUBE_LABELS, verts):
-        out[lab] = row
-    out[4] = as_point(f1, 4)
-    out[5] = as_point(f2, 4)
-    return out
-
-
-def turnbull_young_terms(config):
-    """The four signed bracket-product monomials of the reduced invariant."""
-    C = as_points(config, 4)
-    if C.shape != (10, 4):
-        raise ValueError("need the full 10-point labeled configuration")
-    return np.array(invariant_terms(C.tolist()))
-
-
-def turnbull_young_reduced(config):
-    """Reduced Turnbull-Young invariant of a 10-point labeled configuration.
-
-    Vanishes whenever the eight cube-slot points form a combinatorial cube,
-    independent of the two focal-slot points.
-    """
-    return float(np.sum(turnbull_young_terms(config)))
-
-
 def facet_planes(vertices):
     """Best-fit facet plane (4-vector) per facet, via SVD of its 4 points."""
     planes = []
@@ -277,17 +247,20 @@ def random_combinatorial_cube(rng):
     xz-plane, 7 on the yz-plane, and vertex 8 the intersection of the three
     facet planes through {1,2,7}, {1,3,6} and {6,7,9}.  A random invertible
     affine map then fits the polytope into the box.  All arithmetic runs on
-    exact rationals so the facet coplanarities hold to rounding error.
-    Samples are rejected until the convexity check passes.
+    exact integers over one common weight, and each coordinate is rounded
+    once, so the facet coplanarities hold to rounding error and the floats
+    are those of ``exact.random_rational_cube``.  Samples are rejected until
+    the convexity check passes.
     """
-    from . import exact
+    from .exact import _integer_cube
 
     for _ in range(MAX_CUBE_CANDIDATES):
         try:
-            verts_exact = exact.random_rational_cube(rng)
+            nums, dens = _integer_cube(rng, True)
         except DegenerateIntersection:
             continue
-        verts = np.array([[float(x) for x in v] for v in verts_exact])
+        # int / int is correctly rounded, as float(Fraction) is.
+        verts = np.array([[n / d for n, d in zip(row, dens)] + [1.0] for row in nums])
         ok, _ = is_combinatorial_cube(verts)
         if ok:
             return CubeConfig(verts)

@@ -10,7 +10,7 @@ cube.
 """
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -108,41 +108,55 @@ def random_rational_point(rng):
     return tuple([random_fraction(rng, -10, 10) for _ in range(3)] + [Fraction(1)])
 
 
-def _positive_fraction(rng):
-    # Floor at 1/5: coordinates arbitrarily close to zero flatten the cube
-    # toward a degenerate (noise-hypersensitive) shape.
-    return Fraction(int(rng.integers(200, 1001)), 1000)
+def _integer_cube(rng, apply_map):
+    """The rational cube sampler on integers.
 
-
-def normal_form_cube(rng):
-    """Sample the normal-form cube: returns 8 rational homogeneous vertices
-    in label order 0,1,2,3,6,7,8,9."""
+    Draws the normal-form cube (every free coordinate is n/1000 with n in
+    [200, 1000]: coordinates near zero flatten the cube toward a degenerate,
+    noise-hypersensitive shape), closes it with ``cube_closure``, applies a
+    random well-conditioned affine map with entries m/1000 when
+    ``apply_map``, and fits the result into [-1, 1]^3 with one scale per
+    axis.  Returns ``(nums, dens)``: coordinate ``ax`` of vertex ``k`` (label
+    order 0,1,2,3,6,7,8,9) is the rational ``nums[k][ax] / dens[ax]``, with
+    ``dens[ax] > 0``.  The vertices are homogeneous integer vectors with
+    weights 1, 1000 and that of vertex 8, brought to one positive weight,
+    their lcm, so every step is exact integer arithmetic.
+    """
+    # One call of size n draws what n scalar calls would, in the same order.
+    a, b, c, d, e, f = rng.integers(200, 1001, size=6).tolist()
     verts = dict(NORMAL_FORM_BASE)
-    verts[1] = (_positive_fraction(rng), _positive_fraction(rng), 0, 1)
-    verts[6] = (_positive_fraction(rng), 0, _positive_fraction(rng), 1)
-    verts[7] = (0, _positive_fraction(rng), _positive_fraction(rng), 1)
-    verts = {lab: _as_vector(v) for lab, v in verts.items()}
-    v8 = cube_closure(verts[1], verts[6], verts[7])
-    if v8[3] == 0:
+    verts[1] = (a, b, 0, 1000)
+    verts[6] = (c, 0, d, 1000)
+    verts[7] = (0, e, f, 1000)
+    verts[8] = cube_closure(verts[1], verts[6], verts[7])
+    if verts[8][3] == 0:
         raise DegenerateIntersection("facet planes do not meet in an affine point")
-    verts[8] = [x / v8[3] for x in v8]
-    return tuple(tuple(verts[lab]) for lab in CUBE_LABELS)
-
-
-def _random_affine(rng):
-    for _ in range(200):
-        A = [
-            [Fraction(int(rng.integers(-1000, 1001)), 1000) for _ in range(3)]
-            for _ in range(3)
-        ]
-        # Reject ill-conditioned maps: they squash the cube toward a
-        # degenerate configuration.  The check is float-only; the map
-        # itself stays exact.  It rejects every singular map but the zero
-        # one, whose image the box fit rejects as flat.
-        sv = np.linalg.svd(np.array(A, dtype=float), compute_uv=False)
-        if sv[-1] >= sv[0] / 4.0:
-            return A
-    raise DegenerateIntersection("could not sample an invertible affine map")
+    weight = lcm(1000, verts[8][3])
+    pts = []
+    for lab in CUBE_LABELS:
+        *xyz, w = verts[lab]
+        pts.append([u * (weight // w) for u in xyz])
+    if apply_map:
+        for _ in range(200):
+            M = rng.integers(-1000, 1001, size=(3, 3))
+            # Reject ill-conditioned maps: they squash the cube toward a
+            # degenerate configuration.  The check is float-only; the map
+            # itself stays exact.  It rejects every singular map but the
+            # zero one, whose image the box fit rejects as flat.
+            sv = np.linalg.svd(M / 1000, compute_uv=False)
+            if sv[-1] >= sv[0] / 4.0:
+                break
+        else:
+            raise DegenerateIntersection("could not sample an invertible affine map")
+        M = M.tolist()
+        pts = [[r[0] * p[0] + r[1] * p[1] + r[2] * p[2] for r in M] for p in pts]
+    lo = [min(col) for col in zip(*pts)]
+    hi = [max(col) for col in zip(*pts)]
+    if any(h == l for h, l in zip(hi, lo)):
+        raise DegenerateIntersection("flat cube candidate")
+    # 2 (p - lo) / (hi - lo) - 1 on each axis.
+    nums = [[2 * u - l - h for u, l, h in zip(p, lo, hi)] for p in pts]
+    return nums, [h - l for h, l in zip(hi, lo)]
 
 
 def random_rational_cube(rng, apply_map=True):
@@ -152,23 +166,10 @@ def random_rational_cube(rng, apply_map=True):
     Facet coplanarity holds exactly by construction; convexity is not
     checked here (callers reject on the floating-point incidence test).
     """
-    verts = normal_form_cube(rng)
-    pts = [list(v[:3]) for v in verts]
-    if apply_map:
-        A = _random_affine(rng)
-        pts = [
-            [sum(A[i][j] * p[j] for j in range(3)) for i in range(3)] for p in pts
-        ]
-    # Affine fit into [-1, 1]^3, one scale per axis.
-    out = [[Fraction(0)] * 3 for _ in range(8)]
-    for ax in range(3):
-        vals = [p[ax] for p in pts]
-        lo, hi = min(vals), max(vals)
-        if hi == lo:
-            raise DegenerateIntersection("flat cube candidate")
-        for k, p in enumerate(pts):
-            out[k][ax] = 2 * (p[ax] - lo) / (hi - lo) - 1
-    return tuple(tuple(p) + (Fraction(1),) for p in out)
+    nums, dens = _integer_cube(rng, apply_map)
+    return tuple(
+        tuple(Fraction(n, d) for n, d in zip(row, dens)) + (Fraction(1),) for row in nums
+    )
 
 
 def vanishing_certificate(rng, trials=100, controls=20):

@@ -47,7 +47,7 @@ MAX_CAMERA_DRAWS = 10_000
 MAX_GEOMETRY_ATTEMPTS = 1_000
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     trial: int
     noise: float
@@ -97,13 +97,16 @@ def sample_camera_pair(rng, radius):
     if radius <= 0:
         raise ValueError("radius must be positive")
     for _ in range(MAX_CAMERA_DRAWS):
+        # Norms as sqrt(x.dot(x)), which is what np.linalg.norm computes for
+        # a vector, without its per-call overhead.
         centers = []
         for _ in range(2):
             v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(v.dot(v))
             r = radius * rng.uniform(0.95, 1.05)
             centers.append(r * v)
-        if np.linalg.norm(centers[0] - centers[1]) >= MIN_SEPARATION * radius:
+        d = centers[0] - centers[1]
+        if math.sqrt(d.dot(d)) >= MIN_SEPARATION * radius:
             return look_at_camera(centers[0]), look_at_camera(centers[1])
     raise ExhaustedRetries(f"no separated camera pair in {MAX_CAMERA_DRAWS} draws")
 
@@ -136,8 +139,13 @@ def _seven_point(X, Y):
     return F
 
 
-def run_trial(cfg, trial_idx, sigma):
-    """One trial at one noise level; returns a record per algorithm."""
+def run_trial(cfg, trial_idx):
+    """One trial at every noise level of cfg; returns a record per
+    algorithm and level, level by level.
+
+    The geometry is built once; each level adds its own scaling of the same
+    noise draw.
+    """
     geo = np.random.SeedSequence([cfg.seed, trial_idx])
     cube_ss, cam_ss, noise_ss = geo.spawn(3)
     cube_seed, cam_seed = _seed_of(cube_ss), _seed_of(cam_ss)
@@ -165,41 +173,50 @@ def run_trial(cfg, trial_idx, sigma):
     F_true = fundamental_from_cameras(A1, A2)
     X = project_all(A1, cube.vertices)
     Y = project_all(A2, cube.vertices)
-    noise_rng = np.random.default_rng(noise_ss)
-    Xn = add_noise(X, sigma, noise_rng)
-    Yn = add_noise(Y, sigma, noise_rng)
 
     records = []
-    # Built per call, so estimators rebound on this module (traced) are used.
-    for algo, estimate in (("8pt", eight_point), ("7pt", _seven_point), ("cube8", cube_eight_point)):
-        try:
-            F = estimate(Xn, Yn)
-        except EpicubeError:
-            angle, resid, failed = FAILED_ANGLE, float("nan"), True
-        else:
-            angle, resid, failed = grassmann_angle(F, F_true), epipolar_residual(F, Xn, Yn), False
-        records.append(
-            TrialRecord(
-                trial=trial_idx,
-                noise=float(sigma),
-                algo=algo,
-                angle_rad=float(angle),
-                residual=resid,
-                failed=failed,
-                cube_seed=cube_seed,
-                cam_seed=cam_seed,
+    for sigma in cfg.noise_levels:
+        noise = float(sigma)
+        # A fresh generator per level: every level scales the same draw.
+        noise_rng = np.random.default_rng(noise_ss)
+        Xn = add_noise(X, sigma, noise_rng)
+        Yn = add_noise(Y, sigma, noise_rng)
+        # Built per level, so estimators rebound on this module (traced) are used.
+        for algo, estimate in (("8pt", eight_point), ("7pt", _seven_point), ("cube8", cube_eight_point)):
+            try:
+                F = estimate(Xn, Yn)
+            except EpicubeError:
+                angle, resid, failed = FAILED_ANGLE, float("nan"), True
+            else:
+                angle, resid, failed = grassmann_angle(F, F_true), epipolar_residual(F, Xn, Yn), False
+            records.append(
+                TrialRecord(
+                    trial=trial_idx,
+                    noise=noise,
+                    algo=algo,
+                    angle_rad=float(angle),
+                    residual=resid,
+                    failed=failed,
+                    cube_seed=cube_seed,
+                    cam_seed=cam_seed,
+                )
             )
-        )
     return records
 
 
 def run_noise_sweep(cfg):
-    """Full sweep: cfg.trials per noise level, three algorithms each."""
-    records = []
-    for sigma in cfg.noise_levels:
-        for trial_idx in range(cfg.trials):
-            records.extend(run_trial(cfg, trial_idx, sigma))
-    return records
+    """Full sweep: cfg.trials per noise level, three algorithms each.
+
+    Records come level by level, trial by trial within a level.
+    """
+    per_trial = [run_trial(cfg, trial_idx) for trial_idx in range(cfg.trials)]
+    n = len(ALGOS)
+    return [
+        r
+        for lv in range(len(cfg.noise_levels))
+        for records in per_trial
+        for r in records[lv * n : (lv + 1) * n]
+    ]
 
 
 CSV_HEADER = ("trial", "noise", "algo", "angle_rad", "residual", "failed", "cube_seed", "cam_seed")

@@ -6,15 +6,12 @@ from epicube.degeneracy import (
     FACETS,
     UNIT_CUBE_VERTICES,
     build_Z,
-    config_ten,
     facet_planes,
+    invariant_terms,
     is_combinatorial_cube,
     kernel_basis,
     numerical_rank,
     random_combinatorial_cube,
-    turnbull_young_reduced,
-    turnbull_young_terms,
-    unit_cube,
     veronese_matrix,
 )
 from epicube.exceptions import LengthMismatch
@@ -75,19 +72,27 @@ class TestRankAndKernel:
         assert numerical_rank(np.zeros((3, 3))) == 0
 
 
+def labelled(cube_vertices, f1, f2):
+    """The 10-point configuration as a list of float rows by label: the
+    cube in its eight slots, the focal points in 4 and 5."""
+    config = [None] * 10
+    for lab, v in zip((*CUBE_LABELS, 4, 5), (*cube_vertices, f1, f2)):
+        config[lab] = [float(x) for x in v]
+    return config
+
+
 class TestTurnbullYoung:
     def test_vanishes_on_unit_cube_any_focals(self, rng):
         for _ in range(10):
             f1 = rng.standard_normal(4)
             f2 = rng.standard_normal(4)
-            config = config_ten(unit_cube(), f1, f2)
-            terms = turnbull_young_terms(config)
+            terms = invariant_terms(labelled(UNIT_CUBE_VERTICES, f1, f2))
             scale = np.max(np.abs(terms)) + 1.0
-            assert abs(turnbull_young_reduced(config)) < 1e-9 * scale
+            assert abs(sum(terms)) < 1e-9 * scale
 
     def test_nonzero_on_generic_points(self, rng):
-        config = rng.standard_normal((10, 4))
-        assert abs(turnbull_young_reduced(config)) > 1e-12
+        config = rng.standard_normal((10, 4)).tolist()
+        assert abs(sum(invariant_terms(config))) > 1e-12
 
     def test_each_label_appears_twice_per_monomial(self):
         from epicube.degeneracy import TY_MONOMIALS
@@ -98,18 +103,6 @@ class TestTurnbullYoung:
                 for i in idx:
                     counts[i] += 1
             assert np.all(counts == 2)
-
-
-class TestConfigTen:
-    def test_label_placement(self, rng):
-        cube = unit_cube()
-        f1 = [9.0, 0.0, 0.0, 1.0]
-        f2 = [0.0, 9.0, 0.0, 1.0]
-        C = config_ten(cube, f1, f2)
-        assert np.allclose(C[4], f1)
-        assert np.allclose(C[5], f2)
-        for lab, v in zip(CUBE_LABELS, cube.vertices):
-            assert np.allclose(C[lab], v)
 
 
 class TestCombinatorialCube:

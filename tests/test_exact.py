@@ -5,18 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicube.degeneracy import bracket, cross4, numerical_rank, veronese_matrix
+from epicube.degeneracy import (
+    CUBE_LABELS,
+    MAX_CUBE_CANDIDATES,
+    NORMAL_FORM_BASE,
+    bracket,
+    cross4,
+    cube_closure,
+    is_combinatorial_cube,
+    numerical_rank,
+    random_combinatorial_cube,
+    veronese_matrix,
+)
 from epicube.exact import (
     exact_config_ten,
     exact_det,
     exact_rank,
     exact_turnbull_young,
     exact_veronese_matrix,
-    normal_form_cube,
     random_rational_cube,
     random_rational_point,
     vanishing_certificate,
 )
+from epicube.exceptions import DegenerateIntersection
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=20
@@ -90,7 +101,7 @@ class TestRationalCubes:
         # only enforced by the rejection loop one level up.
         from epicube.degeneracy import CUBE_POS, FACETS
 
-        verts = normal_form_cube(rng)
+        verts = random_rational_cube(rng, apply_map=False)
         for facet in FACETS:
             M = [list(verts[CUBE_POS[lab]]) for lab in facet]
             assert exact_det(M) == 0
@@ -127,3 +138,93 @@ class TestTurnbullYoungExact:
         assert res["vanished"] == 5
         assert res["rank_ok"] == 5
         assert res["nonzero_controls"] == 3
+
+
+class TestConfigTen:
+    def test_label_placement(self, rng):
+        cube = [tuple(Fraction(int(x)) for x in rng.integers(-5, 6, 4)) for _ in range(8)]
+        f1 = (9, 0, 0, 1)
+        f2 = (0, 9, 0, 1)
+        C = exact_config_ten(cube, f1, f2)
+        assert C[4] == f1
+        assert C[5] == f2
+        for lab, v in zip(CUBE_LABELS, cube):
+            assert C[lab] == v
+
+
+def reference_rational_cube(rng, apply_map=True):
+    """The cube sampler written directly on Fractions: normal form, closure,
+    a random affine map with a float conditioning check, box fit.  An
+    independent oracle for the integer implementation."""
+
+    def positive():
+        return Fraction(int(rng.integers(200, 1001)), 1000)
+
+    verts = dict(NORMAL_FORM_BASE)
+    verts[1] = (positive(), positive(), 0, 1)
+    verts[6] = (positive(), 0, positive(), 1)
+    verts[7] = (0, positive(), positive(), 1)
+    v8 = cube_closure(verts[1], verts[6], verts[7])
+    if v8[3] == 0:
+        raise DegenerateIntersection("no affine vertex 8")
+    verts[8] = [x / v8[3] for x in v8]
+    pts = [[Fraction(x) for x in verts[lab][:3]] for lab in CUBE_LABELS]
+    if apply_map:
+        for _ in range(200):
+            A = [[Fraction(int(rng.integers(-1000, 1001)), 1000) for _ in range(3)] for _ in range(3)]
+            sv = np.linalg.svd(np.array(A, dtype=float), compute_uv=False)
+            if sv[-1] >= sv[0] / 4.0:
+                break
+        else:
+            raise DegenerateIntersection("no well-conditioned map")
+        pts = [[sum(A[i][j] * p[j] for j in range(3)) for i in range(3)] for p in pts]
+    out = [[None] * 3 + [Fraction(1)] for _ in pts]
+    for ax in range(3):
+        lo, hi = min(p[ax] for p in pts), max(p[ax] for p in pts)
+        if hi == lo:
+            raise DegenerateIntersection("flat")
+        for row, p in zip(out, pts):
+            row[ax] = 2 * (p[ax] - lo) / (hi - lo) - 1
+    return tuple(tuple(row) for row in out)
+
+
+def draws(sampler, seed, n=6):
+    """n successive samples from one seeded stream, errors by type name."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        try:
+            out.append(sampler(rng, apply_map=bool(i % 2)))
+        except DegenerateIntersection as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+class TestSamplerPinned:
+    """The cube samplers against references kept in this file: the same
+    rng stream must give the same rationals and the same floats."""
+
+    def test_rational_cube_matches_fraction_reference(self):
+        for seed in range(100):
+            assert draws(random_rational_cube, seed) == draws(reference_rational_cube, seed)
+
+    def test_combinatorial_cube_matches_rational_loop(self):
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            for _ in range(MAX_CUBE_CANDIDATES):
+                try:
+                    verts = random_rational_cube(rng)
+                except DegenerateIntersection:
+                    continue
+                V = np.array([[float(x) for x in v] for v in verts])
+                if is_combinatorial_cube(V)[0]:
+                    break
+            else:
+                pytest.fail(f"seed {seed}: no cube in {MAX_CUBE_CANDIDATES} candidates")
+            cube = random_combinatorial_cube(np.random.default_rng(seed))
+            assert np.array_equal(cube.vertices, V)
+
+    def test_certificate_counts(self):
+        full = {"trials": 10, "vanished": 10, "rank_ok": 10, "controls": 3, "nonzero_controls": 3}
+        for seed in range(5):
+            assert vanishing_certificate(np.random.default_rng(seed), 10, 3) == full

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,16 +100,18 @@ class TestExperimentConfig:
 
 class TestRunTrial:
     def test_record_structure(self):
-        cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=11)
-        records = run_trial(cfg, 0, 0.0)
-        assert [r.algo for r in records] == list(ALGOS)
+        cfg = ExperimentConfig(trials=1, noise_levels=(0.0, 0.05), seed=11)
+        records = run_trial(cfg, 0)
+        assert [r.algo for r in records] == list(ALGOS) * 2
+        assert [r.noise for r in records] == [0.0] * len(ALGOS) + [0.05] * len(ALGOS)
         for r in records:
             assert r.trial == 0
-            assert r.noise == 0.0
+        # One geometry serves every level.
+        assert len({(r.cube_seed, r.cam_seed) for r in records}) == 1
 
     def test_noise_free_outcomes(self):
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=11)
-        by_algo = {r.algo: r for r in run_trial(cfg, 0, 0.0)}
+        by_algo = {r.algo: r for r in run_trial(cfg, 0)}
         # The cube defeats the plain 8-point algorithm ...
         assert by_algo["8pt"].failed
         assert by_algo["8pt"].angle_rad == pytest.approx(math.pi / 2)
@@ -123,14 +126,17 @@ class TestRunTrial:
         monkeypatch.setattr(simulate, "MAX_GEOMETRY_ATTEMPTS", 20)
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=11)
         with pytest.raises(ExhaustedRetries):
-            run_trial(cfg, 0, 0.0)
+            run_trial(cfg, 0)
 
-    def test_geometry_shared_across_levels(self):
-        cfg = ExperimentConfig(trials=1, noise_levels=(0.0, 0.05), seed=3)
-        r0 = run_trial(cfg, 0, 0.0)
-        r1 = run_trial(cfg, 0, 0.05)
-        assert r0[0].cube_seed == r1[0].cube_seed
-        assert r0[0].cam_seed == r1[0].cam_seed
+    def test_levels_are_common_random_numbers(self):
+        # Each level of a sweep gives the records of a sweep at that level
+        # alone: the levels share the geometry and scale one noise draw, so a
+        # noise generator carried over from one level to the next shows here.
+        cfg = ExperimentConfig(trials=2, noise_levels=(0.0, 0.03, 0.07), seed=3)
+        records = run_noise_sweep(cfg)
+        for lv in cfg.noise_levels:
+            alone = run_noise_sweep(replace(cfg, noise_levels=(lv,)))
+            assert repr([r for r in records if r.noise == lv]) == repr(alone)
 
 
 class TestSweep:
