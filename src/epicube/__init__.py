@@ -42,6 +42,7 @@ from .quadrics import (
     PlaneChart,
     QuadricClass,
     classify,
+    cube_quadric,
     delta1_coordinates,
     quadric_through_points,
     region_grid,

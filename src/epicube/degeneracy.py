@@ -19,7 +19,7 @@ from .projective import DEFAULT_TOL, as_points
 CUBE_LABELS = (0, 1, 2, 3, 6, 7, 8, 9)
 CUBE_POS = {lab: i for i, lab in enumerate(CUBE_LABELS)}
 
-# The six facets, as label quadruples.
+# The six facets as label quadruples, opposite facets in consecutive pairs.
 FACETS = (
     (0, 1, 2, 3),
     (6, 7, 8, 9),
@@ -28,6 +28,8 @@ FACETS = (
     (0, 2, 7, 9),
     (1, 3, 6, 8),
 )
+# Row positions of each facet's vertices in an (8, 4) vertex array.
+FACET_IDX = np.array([[CUBE_POS[lab] for lab in facet] for facet in FACETS])
 
 # Reduced Turnbull-Young invariant: four signed products of five 4-point
 # brackets over the 10-point labeling.
@@ -194,13 +196,8 @@ def kernel_basis(M):
 
 
 def facet_planes(vertices):
-    """Best-fit facet plane (4-vector) per facet, via SVD of its 4 points."""
-    planes = []
-    for facet in FACETS:
-        pts = vertices[[CUBE_POS[lab] for lab in facet]]
-        _, _, vt = np.linalg.svd(pts)
-        planes.append(vt[3])
-    return planes
+    """Best-fit plane of each facet's 4 points (row k for FACETS[k])."""
+    return np.linalg.svd(vertices[FACET_IDX])[2][:, 3]
 
 
 def is_combinatorial_cube(vertices):
@@ -212,31 +209,21 @@ def is_combinatorial_cube(vertices):
     V = as_points(vertices, 4)
     if V.shape != (8, 4):
         raise ValueError("a cube has exactly 8 vertices")
-    diag = {"affine": True, "coplanar": [], "strict_side": []}
     tol = 1e-8
     if np.any(np.abs(V[:, 3]) <= tol * np.linalg.norm(V, axis=1)):
-        diag["affine"] = False
-        return False, diag
+        return False, {"affine": False, "coplanar": [], "strict_side": []}
     # Work on last-coordinate-1 representatives so scales are comparable.
     V = V / V[:, 3][:, None]
+    bound = tol * np.maximum(np.linalg.norm(V, axis=1)[FACET_IDX].max(axis=1) ** 4, 1.0)
     # The bracket runs on Python floats: numpy scalar arithmetic is slower.
     rows = V.tolist()
-    planes = facet_planes(V)
-    ok = True
-    for facet, plane in zip(FACETS, planes):
-        on_idx = [CUBE_POS[lab] for lab in facet]
-        off_idx = [i for i in range(8) if i not in on_idx]
-        scale = max(np.linalg.norm(V[i]) for i in on_idx) ** 4
-        det = bracket(*(rows[i] for i in on_idx))
-        coplanar = abs(det) <= tol * max(scale, 1.0)
-        diag["coplanar"].append(coplanar)
-        vals = np.array([plane @ V[i] for i in off_idx])
-        strict = bool(
-            np.all(vals > tol * max(scale, 1.0)) or np.all(vals < -tol * max(scale, 1.0))
-        )
-        diag["strict_side"].append(strict)
-        ok = ok and coplanar and strict
-    return ok, diag
+    dets = np.array([bracket(*(rows[i] for i in idx)) for idx in FACET_IDX.tolist()])
+    coplanar = np.abs(dets) <= bound
+    # The vertices off a facet are those of the opposite facet.
+    vals = np.einsum("kj,kij->ki", facet_planes(V), V[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
+    strict = np.all(vals > bound[:, None], axis=1) | np.all(vals < -bound[:, None], axis=1)
+    diag = {"affine": True, "coplanar": coplanar.tolist(), "strict_side": strict.tolist()}
+    return bool(coplanar.all() and strict.all()), diag
 
 
 def random_combinatorial_cube(rng):

@@ -12,11 +12,12 @@ import numpy as np
 
 from .degeneracy import (
     CubeConfig,
-    UNIT_CUBE_VERTICES,
     VERONESE_I,
     VERONESE_J,
     cross4,
+    facet_planes,
     kernel_basis,
+    unit_cube,
     veronese_matrix,
 )
 from .exceptions import AtInfinity, NoQuadric, PencilOfQuadrics, RankDeficient
@@ -68,60 +69,78 @@ def quadric_through_points(P):
     return canon(coeffs_to_matrix(basis[0]))
 
 
-def unit_cube_quadric(f1, f2):
-    """Diagonal quadric through the unit-cube vertices and two focal points.
+def cube_quadric(C, c1, c2):
+    """The quadric through a combinatorial cube and focal points c1, c2.
 
-    The diagonal is the vector of four signed maximal minors of
-    M = [(1,1,1,1); f1^2; f2^2] (coordinate-wise squares), equivalently the
-    generalized cross product of the three rows.
+    The products q_k of the three pairs of opposite facet planes span the
+    quadrics through a generic combinatorial cube, so the one through c1
+    and c2 is sum_k lam_k q_k, lam = r(c1) x r(c2), r(c) = (c^T q_k c)_k.
+    ``c2`` is a point, or an (n, 4) stack giving an (n, 4, 4) stack.  Where
+    ||lam|| <= 1e-12 ||r(c1)|| ||r(c2)|| a pencil of quadrics fits: a point
+    raises RankDeficient, a stack member is the zero matrix.
     """
-    f1 = as_point(f1, 4)
-    f2 = as_point(f2, 4)
-    a = f1**2 / np.max(f1**2)
-    b = f2**2 / np.max(f2**2)
-    # cross4 runs on Python floats: numpy scalar arithmetic is slower.
-    d = np.array(cross4((1.0, 1.0, 1.0, 1.0), a.tolist(), b.tolist()))
-    if np.linalg.norm(d) <= 1e-12 * max(
-        1.0, np.linalg.norm(a) * np.linalg.norm(b)
-    ):
-        raise RankDeficient("minor system has rank < 3; pencil of diagonals")
-    return canon(np.diag(d))
+    verts = C.vertices if isinstance(C, CubeConfig) else CubeConfig(C).vertices
+    planes = facet_planes(verts)
+    near, far = planes[0::2], planes[1::2]
+    # c^T q_k c = (near_k . c)(far_k . c).
+    q = 0.5 * (near[:, :, None] * far[:, None, :] + far[:, :, None] * near[:, None, :])
+    single = np.ndim(c2) == 1
+    c = np.vstack([as_point(c1, 4), as_points(c2, 4)])
+    # Rows at max |coordinate| 1, so r neither underflows nor overflows.
+    s = (c / np.abs(c).max(axis=1, keepdims=True)) @ planes.T
+    a, b = s[0, 0::2] * s[0, 1::2], s[1:, 0::2] * s[1:, 1::2]
+    # a x b, written out: np.cross alone costs about 20 us per call.
+    lam = a[[1, 2, 0]] * b[:, [2, 0, 1]] - a[[2, 0, 1]] * b[:, [1, 2, 0]]
+    ok = np.linalg.norm(lam, axis=1) > 1e-12 * np.linalg.norm(a) * np.linalg.norm(b, axis=1)
+    if single and not ok[0]:
+        raise RankDeficient("focal points leave a pencil of quadrics through the cube")
+    Q = ((lam * ok[:, None]) @ q.reshape(3, 16)).reshape(-1, 4, 4)
+    return Q[0] if single else Q
+
+
+def unit_cube_quadric(f1, f2):
+    """cube_quadric on the unit cube, where the facet pencil is diagonal."""
+    return cube_quadric(unit_cube(), f1, f2)
+
+
+_TAGS = {(2, 2, 0): RULED_NONDEGENERATE, (3, 1, 0): NONRULED_NONDEGENERATE}
+
+
+def _classify_stack(Q):
+    """QuadricClass of each matrix of an (n, 4, 4) symmetric stack: eigenvalues
+    within DEFAULT_TOL * max|eigenvalue| of 0 count as zero, signs flip so
+    n+ >= n-, and a zero matrix is DEGENERATE (0, 0, 4) with margin 0."""
+    w = np.linalg.eigvalsh(0.5 * (Q + Q.transpose(0, 2, 1)))
+    aw = np.abs(w)
+    wmax = aw.max(axis=1)
+    thresh = (DEFAULT_TOL * wmax)[:, None]
+    n_plus, n_minus = (w > thresh).sum(axis=1), (w < -thresh).sum(axis=1)
+    hi, lo = np.maximum(n_plus, n_minus), np.minimum(n_plus, n_minus)
+    counts = zip(hi.tolist(), lo.tolist(), (4 - hi - lo).tolist())
+    margin = aw.min(axis=1) / np.where(wmax > 0, wmax, 1.0)
+    return [
+        QuadricClass(tag=DEGENERATE if k[2] else _TAGS.get(k, EMPTY), inertia=k, margin=m)
+        for k, m in zip(counts, margin.tolist())
+    ]
 
 
 def inertia(Q):
-    """Canonicalized eigenvalue sign counts (n+, n-, n0) and the margin.
-
-    The global sign is flipped so n+ >= n-.
-    """
-    Q = np.asarray(Q, dtype=float).reshape(4, 4)
-    if not np.allclose(Q, Q.T, atol=1e-12 * max(1.0, np.abs(Q).max())):
-        raise ValueError("quadric matrix must be symmetric")
-    w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    wmax = np.max(np.abs(w))
-    if wmax == 0.0:
-        raise ValueError("zero quadric")
-    thresh = DEFAULT_TOL * wmax
-    n_plus = int(np.sum(w > thresh))
-    n_minus = int(np.sum(w < -thresh))
-    n_zero = 4 - n_plus - n_minus
-    if n_minus > n_plus:
-        n_plus, n_minus = n_minus, n_plus
-    margin = float(np.min(np.abs(w)) / wmax)
-    return (n_plus, n_minus, n_zero), margin
+    """Sign counts (n+, n-, n0), flipped so n+ >= n-, and margin of Q."""
+    qc = classify(Q)
+    return qc.inertia, qc.margin
 
 
 def classify(Q):
     """QuadricClass from the inertia of the symmetric matrix."""
-    (n_plus, n_minus, n_zero), margin = inertia(Q)
-    if n_zero > 0:
-        tag = DEGENERATE
-    elif (n_plus, n_minus) == (2, 2):
-        tag = RULED_NONDEGENERATE
-    elif (n_plus, n_minus) == (3, 1):
-        tag = NONRULED_NONDEGENERATE
-    else:
-        tag = EMPTY
-    return QuadricClass(tag=tag, inertia=(n_plus, n_minus, n_zero), margin=margin)
+    Q = np.asarray(Q, dtype=float).reshape(4, 4)
+    # np.allclose(Q, Q.T, atol=...)'s test, written out at a third of its cost.
+    if not np.all(np.abs(Q - Q.T) <= 1e-12 * max(1.0, np.abs(Q).max()) + 1e-5 * np.abs(Q.T)):
+        raise ValueError("quadric matrix must be symmetric")
+    qc = _classify_stack(Q[None])[0]
+    # Only an all-zero spectrum leaves no eigenvalue above the threshold.
+    if qc.inertia[2] == 4:
+        raise ValueError("zero quadric")
+    return qc
 
 
 def ruled_region_delta1(alpha, beta):
@@ -131,11 +150,9 @@ def ruled_region_delta1(alpha, beta):
     either both alpha, beta <= 0 with alpha + beta <= -1, or alpha, beta of
     different signs with alpha + beta >= -1.
     """
-    if alpha <= 0 and beta <= 0 and alpha + beta <= -1:
-        return True
-    if alpha * beta < 0 and alpha + beta >= -1:
-        return True
-    return False
+    return (alpha <= 0 and beta <= 0 and alpha + beta <= -1) or (
+        alpha * beta < 0 and alpha + beta >= -1
+    )
 
 
 def delta1_coordinates(f1, f2):
@@ -169,43 +186,39 @@ class PlaneChart:
     v_range: tuple = (-6.0, 6.0)
 
     def point(self, u, v):
+        """Homogeneous point at (u, v); arrays u, v broadcast to a stack."""
         o = np.asarray(self.origin, dtype=float)
-        du = np.asarray(self.u_dir, dtype=float)
-        dv = np.asarray(self.v_dir, dtype=float)
-        p = o + u * du + v * dv
-        return np.array([p[0], p[1], p[2], 1.0])
-
-
-def _is_unit_cube(verts):
-    return np.allclose(verts, UNIT_CUBE_VERTICES, atol=1e-12)
+        p = o + np.multiply.outer(u, self.u_dir) + np.multiply.outer(v, self.v_dir)
+        return np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
 
 
 def region_grid(C, f1, chart, resolution, method="auto"):
-    """Classify the quadric for f2 on a grid over the chart plane.
+    """Classify the quadric through the cube, f1 and f2 for f2 on a grid
+    over the chart plane; (u, v, QuadricClass) cells, u outer.
 
-    Returns a list of (u, v, QuadricClass) cells in row-major (u outer)
-    order.  Cells where the 10-point system drops below rank 9 are marked
-    DEGENERATE with inertia (0, 0, 4).
+    ``"auto"`` classifies the whole grid in one batched pass over
+    cube_quadric's facet pencil, for any combinatorial cube; ``"unit"``
+    names the same pass for callers of the former unit-cube path.
+    ``"general"`` fits each cell's 10-point quadric through the Veronese
+    kernel, the independent check of the closed form.  Cells without a
+    unique quadric are DEGENERATE with inertia (0, 0, 4).
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if method not in ("auto", "unit", "general"):
+        raise ValueError(f"unknown region_grid method {method!r}")
     verts = C.vertices if isinstance(C, CubeConfig) else as_points(C, 4)
     f1 = as_point(f1, 4)
-    if method == "auto":
-        method = "unit" if _is_unit_cube(verts) else "general"
-    us = np.linspace(chart.u_range[0], chart.u_range[1], resolution)
-    vs = np.linspace(chart.v_range[0], chart.v_range[1], resolution)
-    cells = []
-    for u in us:
-        for v in vs:
-            f2 = chart.point(u, v)
+    us, vs = (np.linspace(*r, resolution) for r in (chart.u_range, chart.v_range))
+    f2s = chart.point(us[:, None], vs).reshape(-1, 4)
+    if method == "general":
+        Q = np.zeros((len(f2s), 4, 4))
+        for i, f2 in enumerate(f2s):
             try:
-                if method == "unit":
-                    Q = unit_cube_quadric(f1, f2)
-                else:
-                    Q = quadric_through_points(np.vstack([verts, f1, f2]))
-                qc = classify(Q)
-            except (PencilOfQuadrics, RankDeficient, NoQuadric):
-                qc = QuadricClass(tag=DEGENERATE, inertia=(0, 0, 4), margin=0.0)
-            cells.append((float(u), float(v), qc))
-    return cells
+                Q[i] = quadric_through_points(np.vstack([verts, f1, f2]))
+            except (PencilOfQuadrics, NoQuadric):
+                pass
+    else:
+        Q = cube_quadric(verts, f1, f2s)
+    uv = [(u, v) for u in us.tolist() for v in vs.tolist()]
+    return [(u, v, qc) for (u, v), qc in zip(uv, _classify_stack(Q))]

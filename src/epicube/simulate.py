@@ -22,7 +22,7 @@ from .estimators import (
     seven_point,
 )
 from .exceptions import EpicubeError, ExhaustedRetries
-from .quadrics import NONRULED_NONDEGENERATE, classify, quadric_through_points
+from .quadrics import NONRULED_NONDEGENERATE, classify, cube_quadric
 from .projective import (
     as_points,
     dehomogenize,
@@ -161,9 +161,8 @@ def run_trial(cfg, trial_idx):
         if attempt % 16 == 0:
             cube = random_combinatorial_cube(cube_rng)
         A1, A2 = sample_camera_pair(cam_rng, CAMERA_RADIUS)
-        c1, c2 = focal_point(A1), focal_point(A2)
         try:
-            Q = quadric_through_points(np.vstack([cube.vertices, c1, c2]))
+            Q = cube_quadric(cube, focal_point(A1), focal_point(A2))
         except EpicubeError:
             continue
         if classify(Q).tag == NONRULED_NONDEGENERATE:

@@ -126,6 +126,25 @@ class TestCombinatorialCube:
             for lab in facet:
                 assert abs(plane @ UNIT_CUBE_VERTICES[CUBE_POS[lab]]) < 1e-12
 
+    def test_facet_planes_match_per_facet_svd(self, rng):
+        # The stacked SVD runs the same LAPACK routine on each facet as a
+        # loop of single SVDs, so the planes agree bit for bit.
+        from epicube.degeneracy import CUBE_POS
+
+        for _ in range(20):
+            V = random_combinatorial_cube(rng).vertices
+            loop = [np.linalg.svd(V[[CUBE_POS[lab] for lab in f]])[2][3] for f in FACETS]
+            assert np.array_equal(facet_planes(V), np.array(loop))
+
+    def test_nonconvex_fails_strict_side_only(self):
+        # A projective map that sends a plane through the cube to infinity
+        # keeps every facet planar but makes the affine polytope nonconvex.
+        T = np.eye(4)
+        T[3, 0] = 2.0
+        ok, diag = is_combinatorial_cube(UNIT_CUBE_VERTICES @ T.T)
+        assert not ok
+        assert all(diag["coplanar"]) and not all(diag["strict_side"])
+
 
 class TestRandomCube:
     def test_samples_are_cubes_in_box(self, rng):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicube.degeneracy import (
     UNIT_CUBE_VERTICES,
     VERONESE_I,
     VERONESE_J,
+    random_combinatorial_cube,
     unit_cube,
     veronese_matrix,
 )
-from epicube.exceptions import AtInfinity, NoQuadric, PencilOfQuadrics
-from epicube.projective import proj_equal
+from epicube.exceptions import AtInfinity, NoQuadric, PencilOfQuadrics, RankDeficient
+from epicube.projective import focal_point, proj_equal
 from epicube.quadrics import (
     DEGENERATE,
     EMPTY,
@@ -18,6 +21,7 @@ from epicube.quadrics import (
     PlaneChart,
     classify,
     coeffs_to_matrix,
+    cube_quadric,
     delta1_coordinates,
     inertia,
     quadric_through_points,
@@ -25,6 +29,7 @@ from epicube.quadrics import (
     ruled_region_delta1,
     unit_cube_quadric,
 )
+from epicube.simulate import CAMERA_RADIUS, sample_camera_pair
 
 # The standard instance's focal points (second camera one unit closer).
 F1 = np.array([-2.0, -3.0, -2.0, 1.0])
@@ -130,6 +135,79 @@ class TestUnitCubeQuadric:
             assert abs(p @ Q @ p) < 1e-9 * (np.linalg.norm(p) ** 2)
 
 
+class TestCubeQuadric:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(-48, 48), min_size=6, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_ten_point_quadric(self, seed, coords):
+        # Focal points on a 1/8 grid in [-6, 6]^3: distinct ones stay well
+        # apart, and coincident ones leave a pencil.
+        cube = random_combinatorial_cube(np.random.default_rng(seed))
+        f1, f2 = (np.append(np.array(c) / 8.0, 1.0) for c in (coords[:3], coords[3:]))
+        P = np.vstack([cube.vertices, f1, f2])
+        try:
+            Q = cube_quadric(cube, f1, f2)
+        except RankDeficient:
+            with pytest.raises(PencilOfQuadrics):
+                quadric_through_points(P)
+            return
+        for p in P:
+            assert abs(p @ Q @ p) <= 1e-9 * np.abs(Q).max() * (p @ p)
+        try:
+            G = quadric_through_points(P)
+        except PencilOfQuadrics:
+            return
+        assert proj_equal(Q, G, tol=1e-8)
+
+    def test_stack_matches_single_calls(self, rng):
+        cube = random_combinatorial_cube(rng)
+        f1 = np.array([2.0, 3.0, 4.0, 1.0])
+        f2s = np.append(rng.uniform(-6, 6, (5, 3)), np.ones((5, 1)), axis=1)
+        f2s[2] = f1
+        Qs = cube_quadric(cube, f1, f2s)
+        assert Qs.shape == (5, 4, 4)
+        # The member with f2 = f1 leaves a pencil: zero in a stack, an
+        # error alone.
+        assert not Qs[2].any()
+        with pytest.raises(RankDeficient):
+            cube_quadric(cube, f1, f1)
+        for i in (0, 1, 3, 4):
+            assert np.allclose(Qs[i], cube_quadric(cube, f1, f2s[i]), rtol=0, atol=1e-14)
+
+    def test_homogeneous_scale_invariance_at_extreme_scales(self, rng):
+        cube = random_combinatorial_cube(rng)
+        f1 = np.array([2.0, 3.0, 4.0, 1.0])
+        f2 = np.array([-3.0, 1.0, 5.0, 1.0])
+        Q = cube_quadric(cube, f1, f2)
+        for s in (1e-200, 1e200):
+            assert proj_equal(cube_quadric(cube.vertices * s, f1 * s, f2 / s), Q, tol=1e-9)
+
+    def test_near_coincident_focal_points_keep_a_unique_quadric(self):
+        # f2 within 1e-6 of f1: ill-conditioned, but one quadric still fits.
+        cube = random_combinatorial_cube(np.random.default_rng(3))
+        f1 = np.array([2.0, 3.0, 4.0, 1.0])
+        f2 = f1 + np.array([1e-6, -2e-6, 1e-6, 0.0])
+        G = quadric_through_points(np.vstack([cube.vertices, f1, f2]))
+        assert proj_equal(cube_quadric(cube, f1, f2), G, tol=1e-6)
+
+    def test_sweep_gate_verdict_matches_veronese(self):
+        # The noise sweep accepts a geometry on the facet-pencil verdict;
+        # the Veronese fit must give the same one.
+        rng = np.random.default_rng(2024)
+        nonruled = 0
+        for _ in range(300):
+            cube = random_combinatorial_cube(rng)
+            A1, A2 = sample_camera_pair(rng, CAMERA_RADIUS)
+            c1, c2 = focal_point(A1), focal_point(A2)
+            fast = classify(cube_quadric(cube, c1, c2)).tag
+            slow = classify(quadric_through_points(np.vstack([cube.vertices, c1, c2]))).tag
+            assert (fast == NONRULED_NONDEGENERATE) == (slow == NONRULED_NONDEGENERATE)
+            nonruled += fast == NONRULED_NONDEGENERATE
+        assert 0 < nonruled < 300
+
+
 class TestDelta1:
     def test_standard_focal_pair_coordinates(self):
         alpha, beta = delta1_coordinates(F1, F2)
@@ -185,6 +263,39 @@ class TestRegionGrid:
             assert (u1, v1) == (u2, v2)
             if min(qa.margin, qb.margin) > 1e-6:
                 assert qa.tag == qb.tag
+
+    def test_random_cube_batched_matches_general(self):
+        chart = PlaneChart((0.0, 0.0, 5.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        f1 = [2.0, 3.0, 4.0, 1.0]
+        rng = np.random.default_rng(7)
+        tags = set()
+        for _ in range(2):
+            cube = random_combinatorial_cube(rng)
+            fast = region_grid(cube, f1, chart, 20)
+            gen = region_grid(cube, f1, chart, 20, method="general")
+            assert len(fast) == len(gen) == 400
+            for (u1, v1, qa), (u2, v2, qb) in zip(fast, gen):
+                assert (u1, v1) == (u2, v2)
+                tags.add(qa.tag)
+                if min(qa.margin, qb.margin) > 1e-6:
+                    assert qa.tag == qb.tag
+        assert {RULED_NONDEGENERATE, NONRULED_NONDEGENERATE} <= tags
+
+    def test_cells_match_single_point_classify(self):
+        # One inertia rule: each batched cell is what classify gives the
+        # cell's own quadric.
+        cube = random_combinatorial_cube(np.random.default_rng(11))
+        chart = PlaneChart((0.0, 0.0, 5.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        f1 = np.array([2.0, 3.0, 4.0, 1.0])
+        for u, v, qc in region_grid(cube, f1, chart, 12):
+            one = classify(cube_quadric(cube, f1, chart.point(u, v)))
+            assert (one.tag, one.inertia) == (qc.tag, qc.inertia)
+            assert one.margin == pytest.approx(qc.margin, rel=1e-9, abs=1e-15)
+
+    def test_unknown_method_raises(self):
+        chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
+        with pytest.raises(ValueError):
+            region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], chart, 4, method="veronese")
 
     def test_resolution_validation(self):
         chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
