@@ -128,6 +128,18 @@ class TestExactCheck:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize(
+        "counts", [["--trials", "0", "--controls", "0"], ["--trials", "-3"], ["--controls", "0"]]
+    )
+    def test_empty_counts_rejected(self, tmp_path, capsys, counts):
+        # The same exit as simulate's "trials must be >= 1".
+        sim = main(["simulate", "--trials", "0", "--out", str(tmp_path / "s.csv")])
+        capsys.readouterr()
+        assert main(["exact-check", *counts]) == sim == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 1" in captured.err
+
 
 class TestDataErrors:
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from epicube.degeneracy import (
     bracket,
     cross4,
     cube_closure,
+    invariant_terms,
     is_combinatorial_cube,
     numerical_rank,
     random_combinatorial_cube,
@@ -32,6 +34,9 @@ from epicube.exceptions import DegenerateIntersection
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=20
 )
+# Rationals that are several times cheaper to draw, for the tests that need
+# dozens per example.
+ratios = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 20))
 
 
 def cofactor_det(M):
@@ -66,11 +71,67 @@ class TestExactDet:
         assert exact_det([[0, 1], [0, 2]]) == 0
 
 
+def reference_eliminate(A):
+    """Gaussian elimination on Fractions, in place: the pivots, one per
+    rank, and the sign of the row permutation.  An independent oracle for
+    the integer (Bareiss) elimination."""
+    A = [[Fraction(x) for x in row] for row in A]
+    n_rows, n_cols = len(A), len(A[0])
+    sign = 1
+    pivots = []
+    for col in range(n_cols):
+        row = len(pivots)
+        if row == n_rows:
+            break
+        pivot = next((i for i in range(row, n_rows) if A[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            A[row], A[pivot] = A[pivot], A[row]
+            sign = -sign
+        pv = A[row][col]
+        for i in range(row + 1, n_rows):
+            if A[i][col] != 0:
+                f = A[i][col] / pv
+                for j in range(col + 1, n_cols):
+                    A[i][j] -= f * A[row][j]
+        pivots.append(pv)
+    return pivots, sign
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Rational matrices with zeroed rows and columns and inserted rational
+    multiples of their own rows."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(ratios, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        rows[i] = [Fraction(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[j] = Fraction(0)
+    for _ in range(draw(st.integers(0, 3))):
+        s = draw(ratios)
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.insert(draw(st.integers(0, len(rows))), [s * x for x in src])
+    return rows
+
+
 class TestExactRankKernel:
     def test_rank_matches_numpy_on_integers(self, rng):
         for _ in range(20):
             M = rng.integers(-3, 4, size=(4, 6)).tolist()
             assert exact_rank(M) == np.linalg.matrix_rank(np.array(M, dtype=float))
+
+    @given(degenerate_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_and_det_match_fraction_elimination(self, rows):
+        pivots, sign = reference_eliminate(rows)
+        assert exact_rank(rows) == len(pivots)
+        if len(rows) == len(rows[0]):
+            det = exact_det(rows)
+            assert type(det) is Fraction
+            assert det == (prod(pivots, start=Fraction(sign)) if len(pivots) == len(rows) else 0)
 
 
 class TestCross4:
@@ -138,6 +199,40 @@ class TestTurnbullYoungExact:
         assert res["vanished"] == 5
         assert res["rank_ok"] == 5
         assert res["nonzero_controls"] == 3
+
+
+# Rational points of P^3 with negative entries and points at infinity.
+points = st.tuples(ratios, ratios, ratios, st.one_of(st.just(Fraction(0)), ratios))
+configs = st.lists(points, min_size=10, max_size=10)
+
+
+class TestTurnbullYoungIntegerPath:
+    """The invariant on integer rows against the invariant on Fractions,
+    and the two invariances the integer path relies on: a point scaled by s
+    scales the invariant by s**2 (rows are scaled to integers), and a linear
+    map G of all ten points scales it by det(G)**5 (the certificate maps its
+    cubes to integer points)."""
+
+    @given(configs)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_sum(self, config):
+        value = exact_turnbull_young(config)
+        assert type(value) is Fraction
+        fractions = [[Fraction(x) for x in p] for p in config]
+        assert value == sum(invariant_terms(fractions), Fraction(0))
+
+    @given(configs, st.integers(0, 9), ratios)
+    @settings(max_examples=40, deadline=None)
+    def test_point_scaling(self, config, i, s):
+        scaled = list(config)
+        scaled[i] = tuple(s * x for x in config[i])
+        assert exact_turnbull_young(scaled) == s**2 * exact_turnbull_young(config)
+
+    @given(configs, st.lists(st.lists(ratios, min_size=4, max_size=4), min_size=4, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_linear_map(self, config, G):
+        mapped = [tuple(sum(g * x for g, x in zip(row, p)) for row in G) for p in config]
+        assert exact_turnbull_young(mapped) == cofactor_det(G) ** 5 * exact_turnbull_young(config)
 
 
 class TestConfigTen:
@@ -228,3 +323,25 @@ class TestSamplerPinned:
         full = {"trials": 10, "vanished": 10, "rank_ok": 10, "controls": 3, "nonzero_controls": 3}
         for seed in range(5):
             assert vanishing_certificate(np.random.default_rng(seed), 10, 3) == full
+
+    def test_certificate_draws(self):
+        # The draw after a certificate, recorded on the Fraction
+        # implementation: the integer path makes the same draws in order.
+        after = [
+            400362932384988064,
+            2764818630084845915,
+            1185438783579163169,
+            744757988486094916,
+            4135301569685742707,
+        ]
+        for seed, expected in enumerate(after):
+            rng = np.random.default_rng(seed)
+            vanishing_certificate(rng, 10, 3)
+            assert int(rng.integers(2**62)) == expected
+
+    @pytest.mark.parametrize("trials, controls", [(0, 3), (3, 0), (-3, 2), (0, 0)])
+    def test_certificate_rejects_empty_counts(self, trials, controls):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=">= 1"):
+            vanishing_certificate(rng, trials, controls)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
