@@ -162,6 +162,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, minimum in (("trials", 1), ("controls", 1), ("levels", 1), ("resolution", 2)):
+        if getattr(args, name, minimum) < minimum:
+            parser.error(f"--{name} must be >= {minimum}")
     try:
         return args.func(args)
     except (EpicubeError, ValueError, OSError) as exc:

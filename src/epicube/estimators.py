@@ -105,73 +105,64 @@ class PencilSolution:
     candidates: list
 
     def best(self, X, Y):
-        """Candidate with minimal epipolar residual on (X, Y).
+        """Candidate with minimal epipolar residual on (X, Y), and that residual.
 
-        Ties below the tie tolerance go to the smaller root index.
+        All candidates are scored by one stacked ``epipolar_residual`` call;
+        the first candidate within RESIDUAL_TIE_TOL of the minimum wins.
         """
-        residuals = [epipolar_residual(F, X, Y) for F in self.candidates]
-        best = int(np.argmin(residuals))
-        for i in range(best):
-            if residuals[i] - residuals[best] < RESIDUAL_TIE_TOL:
-                best = i
-                break
-        return self.candidates[best], residuals[best]
+        residuals = epipolar_residual(np.array(self.candidates), X, Y)
+        best = int(np.argmax(residuals - residuals.min() < RESIDUAL_TIE_TOL))
+        return self.candidates[best], float(residuals[best])
 
 
-def _pencil_cubic_coeffs(F1, F2):
-    """Coefficients (c3, c2, c1, c0) of det(a*F1 + (1-a)*F2) by sampling."""
-    nodes = np.array([0.0, 1.0, 2.0, -1.0])
-    vals = np.array([np.linalg.det(a * F1 + (1.0 - a) * F2) for a in nodes])
-    V = np.vander(nodes, 4)
-    return np.linalg.solve(V, vals), vals
+def _members(alpha, F1, F2):
+    """The pencil members alpha*F1 + (1-alpha)*F2 for a 1-D array of alpha."""
+    a = alpha[:, None, None]
+    return a * F1 + (1.0 - a) * F2
 
 
 def pencil_solve(F1, F2):
     """Real roots of det(alpha*F1 + (1-alpha)*F2) = 0 plus their matrices.
 
-    The cubic is expanded by sampling/interpolation and solved through the
-    companion-matrix eigenvalue route; near-real roots are kept, duplicates
-    merged.
+    The cubic is interpolated from one stacked determinant at four nodes and
+    solved through the companion-matrix eigenvalue route; near-multiple
+    roots are merged to their cluster mean, near-real roots kept.  All roots
+    are polished together, filtered to rank-2 members by one stacked SVD,
+    and deduplicated.
     """
     F1 = np.asarray(F1, dtype=float).reshape(3, 3)
     F2 = np.asarray(F2, dtype=float).reshape(3, 3)
-    stack = np.vstack([F1.reshape(-1), F2.reshape(-1)])
-    s = np.linalg.svd(stack, compute_uv=False)
+    s = np.linalg.svd(np.vstack([F1.reshape(-1), F2.reshape(-1)]), compute_uv=False)
     if s[1] <= 1e-12 * s[0]:
         raise DependentInputs("pencil generators are linearly dependent")
-    coeffs, vals = _pencil_cubic_coeffs(F1, F2)
+    nodes = np.array([0.0, 1.0, 2.0, -1.0])
+    vals = np.linalg.det(_members(nodes, F1, F2))
+    coeffs = np.linalg.solve(np.vander(nodes, 4), vals)
     scale = (3.0 * max(np.linalg.norm(F1), np.linalg.norm(F2))) ** 3
     if np.max(np.abs(vals)) <= 1e-12 * scale:
         raise IdenticallyZeroPencil("every pencil member is singular")
-    # Strip numerically-zero leading coefficients before the companion solve.
-    cmax = np.max(np.abs(coeffs))
-    trimmed = np.array(coeffs)
-    while len(trimmed) > 1 and abs(trimmed[0]) <= 1e-12 * cmax:
-        trimmed = trimmed[1:]
-    roots = np.roots(trimmed) if len(trimmed) > 1 else np.array([])
-    candidates_alpha = []
-    for cluster in _root_clusters(roots):
+    # Drop numerically-zero leading coefficients, never the constant one.
+    small = np.abs(coeffs) <= 1e-12 * np.max(np.abs(coeffs))
+    small[-1] = False
+    alphas = []
+    for cluster in _root_clusters(np.roots(coeffs[np.argmin(small) :])):
         mean = complex(np.mean(cluster))
-        if len(cluster) > 1:
-            # Near-multiple root: the cluster mean is O(eps) accurate while
-            # the individual companion-matrix roots are only O(eps^(1/m)).
-            candidates_alpha.append(mean.real)
-        elif abs(mean.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(mean.real)):
-            candidates_alpha.append(mean.real)
-    # Polish on sigma_min of the pencil member, then keep genuine rank-2
-    # members only (a merged conjugate pair may polish to nothing).
+        # A near-multiple root's cluster mean is O(eps) accurate, while the
+        # individual companion-matrix roots are only O(eps^(1/m)).
+        if len(cluster) > 1 or abs(mean.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(mean.real)):
+            alphas.append(mean.real)
+    # Polish on sigma_min, then keep genuine rank-2 members only (a merged
+    # conjugate pair may polish to nothing).
+    alphas = np.sort(_polish_rank2_roots(alphas, F1, F2), kind="stable")
+    sv = np.linalg.svd(_members(alphas, F1, F2), compute_uv=False)
     merged = []
-    for a in sorted(_polish_rank2_root(a, F1, F2) for a in candidates_alpha):
-        M = a * F1 + (1.0 - a) * F2
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[2] > 1e-8 * sv[0]:
-            continue
+    for a in alphas[sv[:, 2] <= 1e-8 * sv[:, 0]]:
         if not merged or abs(a - merged[-1]) > ROOT_DEDUP_TOL:
             merged.append(a)
     if not merged:
         raise NoRealRoot("pencil determinant has no real root")
-    candidates = [canonical_fmatrix(a * F1 + (1.0 - a) * F2) for a in merged]
-    return PencilSolution(roots=np.array(merged), candidates=candidates)
+    roots = np.array(merged)
+    return PencilSolution(roots, [canonical_fmatrix(M) for M in _members(roots, F1, F2)])
 
 
 def _root_clusters(roots):
@@ -192,25 +183,27 @@ def _root_clusters(roots):
     return clusters
 
 
-def _polish_rank2_root(alpha, F1, F2):
-    """Newton refinement of det(a*F1 + (1-a)*F2) = 0 on sigma_min.
+def _polish_rank2_roots(alphas, F1, F2):
+    """Newton refinement of det(a*F1 + (1-a)*F2) = 0 on sigma_min, for all
+    roots at once; each root stops at its first failed test.
 
     d sigma_min / d alpha = u3^T (F1 - F2) v3 for the smallest singular
     pair (u3, v3); one step is exact in the V-shaped multiple-root case.
     """
     D = F1 - F2
+    alpha = np.array(alphas, dtype=float)
+    live = np.arange(len(alpha))
     for _ in range(8):
-        M = alpha * F1 + (1.0 - alpha) * F2
-        U, s, Vt = np.linalg.svd(M)
-        if s[2] <= 1e-15 * s[0]:
+        if not len(live):
             break
-        slope = U[:, 2] @ D @ Vt[2]
-        if abs(slope) <= 1e-14 * max(1.0, s[0]):
-            break
-        step = s[2] / slope
-        if abs(step) > 1.0 + abs(alpha):
-            break
-        alpha -= step
+        a = alpha[live]
+        U, s, Vt = np.linalg.svd(_members(a, F1, F2))
+        slope = np.vecdot(U[:, :, 2] @ D, Vt[:, 2])
+        ok = (s[:, 2] > 1e-15 * s[:, 0]) & (np.abs(slope) > 1e-14 * np.maximum(1.0, s[:, 0]))
+        step = s[:, 2] / np.where(ok, slope, 1.0)
+        ok &= np.abs(step) <= 1.0 + np.abs(a)
+        alpha[live[ok]] = a[ok] - step[ok]
+        live = live[ok]
     return alpha
 
 
@@ -256,5 +249,5 @@ def cube_eight_point(X, Y):
     # kernel is spanned by the last two of them.
     _, _, Vt = np.linalg.svd(build_Z(Xn, Yn))
     sol = pencil_solve(Vt[7].reshape(3, 3), Vt[8].reshape(3, 3))
-    sol.candidates = [canonical_fmatrix(TY.T @ F @ TX) for F in sol.candidates]
+    sol.candidates = [canonical_fmatrix(F) for F in TY.T @ np.array(sol.candidates) @ TX]
     return sol.best(X, Y)[0]

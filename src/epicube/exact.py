@@ -226,10 +226,10 @@ def vanishing_certificate(rng, trials=100, controls=20):
 
 
 def exact_config_ten(cube_vertices, f1, f2):
-    """Labeled 10-point rational configuration from cube vertices + focals."""
+    """Labeled 10-point configuration from cube vertices + focals, the rows
+    as given (``exact_turnbull_young`` takes ints and Fractions alike)."""
     config = [None] * 10
     for lab, v in zip(CUBE_LABELS, cube_vertices):
-        config[lab] = tuple(Fraction(x) for x in v)
-    config[4] = tuple(Fraction(x) for x in f1)
-    config[5] = tuple(Fraction(x) for x in f2)
+        config[lab] = v
+    config[4], config[5] = f1, f2
     return config

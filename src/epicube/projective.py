@@ -125,20 +125,21 @@ def canonical_fmatrix(F):
 
 
 def epipolar_residual(F, X, Y):
-    """Scale-invariant algebraic residual sum((Y_i^T F X_i)^2).
-
-    F is normalized to unit Frobenius norm and every point to unit
-    Euclidean norm before evaluating the bilinear forms.
+    """Scale-invariant algebraic residual sum((Y_i^T F X_i)^2): a float for a
+    3x3 F, k residuals from one einsum for a (k, 3, 3) stack.  Each F is
+    normalized to unit Frobenius norm and every point to unit Euclidean norm
+    before evaluating the bilinear forms.
     """
-    Fn = canonical_fmatrix(F)
+    F = np.asarray(F, dtype=float)
+    Fn = np.array([canonical_fmatrix(G) for G in (F if F.ndim == 3 else [F])])
     X = as_points(X, 3)
     Y = as_points(Y, 3)
     if len(X) != len(Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
     if len(X) < 1:
         raise ValueError("need at least one correspondence")
-    r = np.einsum("ij,jk,ik->i", _unit_rows(Y), Fn, _unit_rows(X))
-    return float(np.sum(r**2))
+    r = np.einsum("ij,kjl,il->ki", _unit_rows(Y), Fn, _unit_rows(X))
+    return np.sum(r**2, axis=1) if F.ndim == 3 else float(np.sum(r[0] ** 2))
 
 
 def grassmann_angle(F1, F2):

@@ -124,12 +124,6 @@ def _classify_stack(Q):
     ]
 
 
-def inertia(Q):
-    """Sign counts (n+, n-, n0), flipped so n+ >= n-, and margin of Q."""
-    qc = classify(Q)
-    return qc.inertia, qc.margin
-
-
 def classify(Q):
     """QuadricClass from the inertia of the symmetric matrix."""
     Q = np.asarray(Q, dtype=float).reshape(4, 4)

@@ -68,6 +68,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if len(self.noise_levels) < 1:
+            raise ValueError("need at least one noise level")
         if any(n < 0 for n in self.noise_levels):
             raise ValueError("noise levels must be nonnegative")
 

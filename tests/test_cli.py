@@ -132,10 +132,13 @@ class TestExactCheck:
         "counts", [["--trials", "0", "--controls", "0"], ["--trials", "-3"], ["--controls", "0"]]
     )
     def test_empty_counts_rejected(self, tmp_path, capsys, counts):
-        # The same exit as simulate's "trials must be >= 1".
-        sim = main(["simulate", "--trials", "0", "--out", str(tmp_path / "s.csv")])
+        # The same usage error as simulate's "--trials must be >= 1".
+        with pytest.raises(SystemExit) as sim:
+            main(["simulate", "--trials", "0", "--out", str(tmp_path / "s.csv")])
         capsys.readouterr()
-        assert main(["exact-check", *counts]) == sim == 2
+        with pytest.raises(SystemExit) as check:
+            main(["exact-check", *counts])
+        assert check.value.code == sim.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be >= 1" in captured.err
@@ -155,6 +158,23 @@ class TestDataErrors:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--levels", "0"], "must be >= 1"),
+            (["region", "--resolution", "1"], "must be >= 2"),
+        ],
+    )
+    def test_count_below_minimum(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(out)])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epicube.degeneracy import random_combinatorial_cube
+from epicube.degeneracy import build_Z, kernel_basis, random_combinatorial_cube
 from epicube.estimators import (
+    REAL_ROOT_IMAG_TOL,
+    RESIDUAL_TIE_TOL,
+    ROOT_DEDUP_TOL,
+    PencilSolution,
+    _root_clusters,
     cube_eight_point,
     eckart_young_rank7,
     eight_point,
@@ -18,9 +23,14 @@ from epicube.exceptions import (
     DegenerateCloud,
     DegenerateInput,
     DependentInputs,
+    EpicubeError,
     IdenticallyZeroPencil,
+    NoRealRoot,
 )
 from epicube.projective import (
+    _unit_rows,
+    as_points,
+    canonical_fmatrix,
     epipolar_residual,
     focal_point,
     grassmann_angle,
@@ -54,6 +64,171 @@ def nonruled_pool():
             Y = project_all(A2, cube.vertices)
             pool.append((X, Y, fundamental_from_cameras(A1, A2)))
     return pool
+
+
+# The scalar pencil solver and candidate selection as they were before the
+# stacked rewrite, kept verbatim as an oracle: the stacked code must give the
+# same roots, candidates, choice and exceptions bit for bit.
+
+
+def reference_residual(F, X, Y):
+    Fn = canonical_fmatrix(F)
+    X = as_points(X, 3)
+    Y = as_points(Y, 3)
+    r = np.einsum("ij,jk,ik->i", _unit_rows(Y), Fn, _unit_rows(X))
+    return float(np.sum(r**2))
+
+
+def reference_best(candidates, X, Y):
+    residuals = [reference_residual(F, X, Y) for F in candidates]
+    best = int(np.argmin(residuals))
+    for i in range(best):
+        if residuals[i] - residuals[best] < RESIDUAL_TIE_TOL:
+            best = i
+            break
+    return candidates[best], residuals[best]
+
+
+def reference_cubic_coeffs(F1, F2):
+    nodes = np.array([0.0, 1.0, 2.0, -1.0])
+    vals = np.array([np.linalg.det(a * F1 + (1.0 - a) * F2) for a in nodes])
+    V = np.vander(nodes, 4)
+    return np.linalg.solve(V, vals), vals
+
+
+def reference_polish(alpha, F1, F2):
+    D = F1 - F2
+    for _ in range(8):
+        M = alpha * F1 + (1.0 - alpha) * F2
+        U, s, Vt = np.linalg.svd(M)
+        if s[2] <= 1e-15 * s[0]:
+            break
+        slope = U[:, 2] @ D @ Vt[2]
+        if abs(slope) <= 1e-14 * max(1.0, s[0]):
+            break
+        step = s[2] / slope
+        if abs(step) > 1.0 + abs(alpha):
+            break
+        alpha -= step
+    return alpha
+
+
+def reference_pencil_solve(F1, F2):
+    F1 = np.asarray(F1, dtype=float).reshape(3, 3)
+    F2 = np.asarray(F2, dtype=float).reshape(3, 3)
+    stack = np.vstack([F1.reshape(-1), F2.reshape(-1)])
+    s = np.linalg.svd(stack, compute_uv=False)
+    if s[1] <= 1e-12 * s[0]:
+        raise DependentInputs("pencil generators are linearly dependent")
+    coeffs, vals = reference_cubic_coeffs(F1, F2)
+    scale = (3.0 * max(np.linalg.norm(F1), np.linalg.norm(F2))) ** 3
+    if np.max(np.abs(vals)) <= 1e-12 * scale:
+        raise IdenticallyZeroPencil("every pencil member is singular")
+    cmax = np.max(np.abs(coeffs))
+    trimmed = np.array(coeffs)
+    while len(trimmed) > 1 and abs(trimmed[0]) <= 1e-12 * cmax:
+        trimmed = trimmed[1:]
+    roots = np.roots(trimmed) if len(trimmed) > 1 else np.array([])
+    candidates_alpha = []
+    for cluster in _root_clusters(roots):
+        mean = complex(np.mean(cluster))
+        if len(cluster) > 1:
+            candidates_alpha.append(mean.real)
+        elif abs(mean.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(mean.real)):
+            candidates_alpha.append(mean.real)
+    merged = []
+    for a in sorted(reference_polish(a, F1, F2) for a in candidates_alpha):
+        M = a * F1 + (1.0 - a) * F2
+        sv = np.linalg.svd(M, compute_uv=False)
+        if sv[2] > 1e-8 * sv[0]:
+            continue
+        if not merged or abs(a - merged[-1]) > ROOT_DEDUP_TOL:
+            merged.append(a)
+    if not merged:
+        raise NoRealRoot("pencil determinant has no real root")
+    candidates = [canonical_fmatrix(a * F1 + (1.0 - a) * F2) for a in merged]
+    return PencilSolution(roots=np.array(merged), candidates=candidates)
+
+
+def assert_matches_reference(F1, F2, X, Y):
+    """pencil_solve and best agree with the scalar oracle bit for bit, or
+    both raise the same exception type; returns the solution (or None)."""
+    try:
+        ref = reference_pencil_solve(F1, F2)
+    except EpicubeError as exc:
+        with pytest.raises(EpicubeError) as info:
+            pencil_solve(F1, F2)
+        assert type(info.value) is type(exc)
+        return None
+    sol = pencil_solve(F1, F2)
+    assert np.array_equal(sol.roots, ref.roots)
+    assert sol.roots.dtype == ref.roots.dtype
+    assert isinstance(sol.candidates, list)
+    assert len(sol.candidates) == len(ref.candidates)
+    for F, G in zip(sol.candidates, ref.candidates):
+        assert np.array_equal(F, G)
+    F, resid = sol.best(X, Y)
+    G, ref_resid = reference_best(ref.candidates, X, Y)
+    assert np.array_equal(F, G)
+    assert type(resid) is float and resid == ref_resid
+    return sol
+
+
+class TestStackedPencilMatchesScalar:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["generic", "rank2", "near_dependent", "dependent"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gaussian_pencils(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        F1, F2 = rng.standard_normal((2, 3, 3))
+        if kind == "rank2":
+            U, s, Vt = np.linalg.svd(F1)
+            F1 = (U * [s[0], s[1], 0.0]) @ Vt
+        elif kind == "near_dependent":
+            F2 = F1 + 1e-7 * F2
+        elif kind == "dependent":
+            F2 = -3.0 * F1
+        X, Y = rng.standard_normal((2, 9, 3))
+        assert_matches_reference(F1, F2, X, Y)
+
+    def test_standard_instance_triple_root(self, standard_instance):
+        X, Y = standard_instance["X"], standard_instance["Y"]
+        basis = kernel_basis(build_Z(X, Y))
+        sol = assert_matches_reference(basis[0].reshape(3, 3), basis[1].reshape(3, 3), X, Y)
+        assert sol is not None
+
+    def test_dependent_generators(self, rng):
+        F1 = rng.standard_normal((3, 3))
+        assert assert_matches_reference(F1, 2.0 * F1, *rng.standard_normal((2, 8, 3))) is None
+
+    def test_nonruled_pool_kernel_pairs(self, nonruled_pool):
+        for X, Y, _ in nonruled_pool:
+            basis = kernel_basis(build_Z(X, Y))
+            sol = assert_matches_reference(basis[0].reshape(3, 3), basis[1].reshape(3, 3), X, Y)
+            assert sol is not None
+
+    def test_tie_goes_to_lower_index(self, rng):
+        X, Y = rng.standard_normal((2, 8, 3))
+        G, H = (canonical_fmatrix(M) for M in rng.standard_normal((2, 3, 3)))
+        if epipolar_residual(H, X, Y) < epipolar_residual(G, X, Y):
+            G, H = H, G
+        sol = PencilSolution(roots=np.array([0.0, 1.0, 2.0]), candidates=[H, G, G.copy()])
+        F, resid = sol.best(X, Y)
+        assert F is sol.candidates[1]
+        assert resid == epipolar_residual(G, X, Y)
+
+    def test_residual_stack_equals_scalar_calls(self, rng):
+        X, Y = rng.standard_normal((2, 8, 3))
+        stack = rng.standard_normal((3, 3, 3))
+        residuals = epipolar_residual(stack, X, Y)
+        assert residuals.shape == (3,)
+        assert np.array_equal(residuals, [epipolar_residual(F, X, Y) for F in stack])
+        assert np.array_equal(residuals, [reference_residual(F, X, Y) for F in stack])
+        assert type(epipolar_residual(stack[0], X, Y)) is float
+        with pytest.raises(ValueError):
+            epipolar_residual(rng.standard_normal((3, 3, 4)), X, Y)
 
 
 class TestHartleyNormalize:

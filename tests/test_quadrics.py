@@ -23,7 +23,6 @@ from epicube.quadrics import (
     coeffs_to_matrix,
     cube_quadric,
     delta1_coordinates,
-    inertia,
     quadric_through_points,
     region_grid,
     ruled_region_delta1,
@@ -92,7 +91,7 @@ class TestInertiaClassify:
         assert classify(np.diag([1.0, -1.0, 1.0, 0.0])).tag == DEGENERATE
 
     def test_sign_canonicalization(self):
-        (np_, nm, nz), _ = inertia(np.diag([-1.0, -1.0, -1.0, 1.0]))
+        np_, nm, nz = classify(np.diag([-1.0, -1.0, -1.0, 1.0])).inertia
         assert (np_, nm, nz) == (3, 1, 0)
 
     def test_congruence_invariance(self, rng):
@@ -106,7 +105,7 @@ class TestInertiaClassify:
         M = np.eye(4)
         M[0, 1] = 1.0
         with pytest.raises(ValueError):
-            inertia(M)
+            classify(M)
 
 
 class TestUnitCubeQuadric:

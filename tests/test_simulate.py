@@ -96,6 +96,8 @@ class TestExperimentConfig:
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(noise_levels=(-0.1,))
+        with pytest.raises(ValueError):
+            ExperimentConfig(noise_levels=())
 
 
 class TestRunTrial:
