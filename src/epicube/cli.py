@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,25 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _finite(text):
+    """A finite float option value."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _point(text):
+    """Three finite comma-separated numbers."""
+    xyz = [_finite(t) for t in text.split(",")]
+    if len(xyz) != 3:
+        raise argparse.ArgumentTypeError(f"need three numbers x,y,z, got {text!r}")
+    return xyz
 
 
 def _read_columns(path, names):
@@ -85,7 +105,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_region(args):
-    f1 = np.array([float(t) for t in args.f1.split(",")] + [1.0])
+    f1 = np.array(args.f1 + [1.0])
     chart = quadrics.PlaneChart(
         origin=(0.0, 0.0, args.plane_z),
         u_dir=(1.0, 0.0, 0.0),
@@ -138,16 +158,16 @@ def build_parser():
     p = sub.add_parser("simulate", help="noise-sweep experiment, CSV output")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-max", type=float, default=0.10)
+    p.add_argument("--noise-max", type=_finite, default=0.10)
     p.add_argument("--levels", type=int, default=11)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("region", help="quadric-class grid for the unit cube")
     p.add_argument("--resolution", type=int, default=50)
-    p.add_argument("--f1", default="2,3,4", help="first focal point x,y,z")
-    p.add_argument("--plane-z", type=float, default=5.0)
-    p.add_argument("--extent", type=float, default=6.0)
+    p.add_argument("--f1", type=_point, default="2,3,4", help="first focal point x,y,z")
+    p.add_argument("--plane-z", type=_finite, default=5.0)
+    p.add_argument("--extent", type=_finite, default=6.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_region)
 
@@ -162,9 +182,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, minimum in (("trials", 1), ("controls", 1), ("levels", 1), ("resolution", 2)):
+    minimums = (("trials", 1), ("controls", 1), ("levels", 1), ("resolution", 2), ("noise_max", 0))
+    for name, minimum in minimums:
         if getattr(args, name, minimum) < minimum:
-            parser.error(f"--{name} must be >= {minimum}")
+            parser.error(f"--{name.replace('_', '-')} must be >= {minimum}")
+    if getattr(args, "extent", 1) <= 0:
+        parser.error("--extent must be > 0")
     try:
         return args.func(args)
     except (EpicubeError, ValueError, OSError) as exc:

@@ -8,6 +8,7 @@ two focal points in labels 4 and 5.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -161,6 +162,57 @@ def cube_closure(p1, p6, p7):
     return cross4(cross4(p1, V[2], p7), cross4(p1, V[3], p6), cross4(p6, p7, V[9]))
 
 
+def _integer_cube(rng, apply_map):
+    """The rational cube sampler on integers.
+
+    Draws the normal-form cube (every free coordinate is n/1000 with n in
+    [200, 1000]: coordinates near zero flatten the cube toward a degenerate,
+    noise-hypersensitive shape), closes it with ``cube_closure``, applies a
+    random well-conditioned affine map with entries m/1000 when
+    ``apply_map``, and fits the result into [-1, 1]^3 with one scale per
+    axis.  Returns ``(nums, dens)``: coordinate ``ax`` of vertex ``k`` (label
+    order 0,1,2,3,6,7,8,9) is the rational ``nums[k][ax] / dens[ax]``, with
+    ``dens[ax] > 0``.  The vertices are homogeneous integer vectors with
+    weights 1, 1000 and that of vertex 8, brought to one positive weight,
+    their lcm, so every step is exact integer arithmetic.
+    """
+    # One call of size n draws what n scalar calls would, in the same order.
+    a, b, c, d, e, f = rng.integers(200, 1001, size=6).tolist()
+    verts = dict(NORMAL_FORM_BASE)
+    verts[1] = (a, b, 0, 1000)
+    verts[6] = (c, 0, d, 1000)
+    verts[7] = (0, e, f, 1000)
+    verts[8] = cube_closure(verts[1], verts[6], verts[7])
+    if verts[8][3] == 0:
+        raise DegenerateIntersection("facet planes do not meet in an affine point")
+    weight = lcm(1000, verts[8][3])
+    pts = []
+    for lab in CUBE_LABELS:
+        *xyz, w = verts[lab]
+        pts.append([u * (weight // w) for u in xyz])
+    if apply_map:
+        for _ in range(200):
+            M = rng.integers(-1000, 1001, size=(3, 3))
+            # Reject ill-conditioned maps: they squash the cube toward a
+            # degenerate configuration.  The check is float-only; the map
+            # itself stays exact.  It rejects every singular map but the
+            # zero one, whose image the box fit rejects as flat.
+            sv = np.linalg.svd(M / 1000, compute_uv=False)
+            if sv[-1] >= sv[0] / 4.0:
+                break
+        else:
+            raise DegenerateIntersection("could not sample an invertible affine map")
+        M = M.tolist()
+        pts = [[r[0] * p[0] + r[1] * p[1] + r[2] * p[2] for r in M] for p in pts]
+    lo = [min(col) for col in zip(*pts)]
+    hi = [max(col) for col in zip(*pts)]
+    if any(h == l for h, l in zip(hi, lo)):
+        raise DegenerateIntersection("flat cube candidate")
+    # 2 (p - lo) / (hi - lo) - 1 on each axis.
+    nums = [[2 * u - l - h for u, l, h in zip(p, lo, hi)] for p in pts]
+    return nums, [h - l for h, l in zip(hi, lo)]
+
+
 def build_Z(X, Y):
     """Constraint matrix of the bilinear relations Y_i^T F X_i = 0.
 
@@ -206,21 +258,20 @@ def is_combinatorial_cube(vertices):
     ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9.
     Returns (verdict, diagnostic dict).
     """
-    V = as_points(vertices, 4)
-    if V.shape != (8, 4):
-        raise ValueError("a cube has exactly 8 vertices")
+    V = CubeConfig(vertices).vertices
     tol = 1e-8
     if np.any(np.abs(V[:, 3]) <= tol * np.linalg.norm(V, axis=1)):
         return False, {"affine": False, "coplanar": [], "strict_side": []}
     # Work on last-coordinate-1 representatives so scales are comparable.
     V = V / V[:, 3][:, None]
     bound = tol * np.maximum(np.linalg.norm(V, axis=1)[FACET_IDX].max(axis=1) ** 4, 1.0)
-    # The bracket runs on Python floats: numpy scalar arithmetic is slower.
-    rows = V.tolist()
-    dets = np.array([bracket(*(rows[i] for i in idx)) for idx in FACET_IDX.tolist()])
-    coplanar = np.abs(dets) <= bound
+    # One SVD per facet gives both tests: |det| is the product of the
+    # singular values, and the last right singular vector is the plane
+    # facet_planes returns.
+    _, s, vt = np.linalg.svd(V[FACET_IDX])
+    coplanar = s.prod(axis=1) <= bound
     # The vertices off a facet are those of the opposite facet.
-    vals = np.einsum("kj,kij->ki", facet_planes(V), V[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
+    vals = np.einsum("kj,kij->ki", vt[:, 3], V[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
     strict = np.all(vals > bound[:, None], axis=1) | np.all(vals < -bound[:, None], axis=1)
     diag = {"affine": True, "coplanar": coplanar.tolist(), "strict_side": strict.tolist()}
     return bool(coplanar.all() and strict.all()), diag
@@ -229,18 +280,12 @@ def is_combinatorial_cube(vertices):
 def random_combinatorial_cube(rng):
     """Sample a random combinatorial cube inside [-1, 1]^3.
 
-    Construction follows the normal-form parametrization: vertex 0 at the
-    origin, 3 = e1, 2 = e2, 9 = e3, vertex 1 on the xy-plane, 6 on the
-    xz-plane, 7 on the yz-plane, and vertex 8 the intersection of the three
-    facet planes through {1,2,7}, {1,3,6} and {6,7,9}.  A random invertible
-    affine map then fits the polytope into the box.  All arithmetic runs on
-    exact integers over one common weight, and each coordinate is rounded
-    once, so the facet coplanarities hold to rounding error and the floats
-    are those of ``exact.random_rational_cube``.  Samples are rejected until
-    the convexity check passes.
+    Each candidate is an exact ``_integer_cube`` draw with its affine map,
+    and each coordinate is rounded once, so the facet coplanarities hold to
+    rounding error and the floats are those of
+    ``exact.random_rational_cube``.  Samples are rejected until the
+    convexity check passes.
     """
-    from .exact import _integer_cube
-
     for _ in range(MAX_CUBE_CANDIDATES):
         try:
             nums, dens = _integer_cube(rng, True)

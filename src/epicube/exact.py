@@ -1,12 +1,13 @@
 """Exact rational-arithmetic backend.
 
 The algebra itself (Veronese lift, brackets, the invariant, the cube
-closure) is the ring-generic code of ``degeneracy``; this module runs it on
-Python ints, each rational row scaled by the lcm of its denominators, and
-returns the Fractions it equals.  It adds what only the rationals need: one
-fraction-free elimination behind the determinant and the rank, the rational
-samplers, and the randomized certificate that the reduced Turnbull-Young
-invariant vanishes on the facet-coplanarity variety of the combinatorial cube.
+closure) is the ring-generic code of ``degeneracy``, as is the integer cube
+sampler; this module runs the algebra on Python ints, each rational row
+scaled by the lcm of its denominators, and returns the Fractions it equals.
+It adds what only the rationals need: one fraction-free elimination behind
+the determinant and the rank, the rational samplers, and the randomized
+certificate that the reduced Turnbull-Young invariant vanishes on the
+facet-coplanarity variety of the combinatorial cube.
 """
 
 from fractions import Fraction
@@ -14,18 +15,12 @@ from math import lcm, prod
 
 import numpy as np
 
-from .degeneracy import (
-    CUBE_LABELS,
-    NORMAL_FORM_BASE,
-    cube_closure,
-    invariant_terms,
-    veronese_lift,
-)
-from .exceptions import DegenerateIntersection
+from .degeneracy import CUBE_LABELS, _integer_cube, invariant_terms, veronese_lift
 
 
-def _as_matrix(M, entry=Fraction):
-    rows = [[entry(x) for x in row] for row in M]
+def _as_matrix(M):
+    """M as rows of exact rationals: ints and Fractions kept, the rest through Fraction."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in M]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("matrix rows must be nonempty and of equal length")
     return rows
@@ -35,7 +30,7 @@ def _integer_rows(M):
     """The rows of the rational matrix M, each times the positive lcm of its
     denominators, and those multipliers."""
     # ints and Fractions already carry a numerator and a denominator.
-    rows = _as_matrix(M, lambda x: x if isinstance(x, (int, Fraction)) else Fraction(x))
+    rows = _as_matrix(M)
     mults = [lcm(*(x.denominator for x in r)) for r in rows]
     return [[x.numerator * (m // x.denominator) for x in r] for r, m in zip(rows, mults)], mults
 
@@ -119,57 +114,6 @@ def random_rational_point(rng):
     return tuple([random_fraction(rng, -10, 10) for _ in range(3)] + [Fraction(1)])
 
 
-def _integer_cube(rng, apply_map):
-    """The rational cube sampler on integers.
-
-    Draws the normal-form cube (every free coordinate is n/1000 with n in
-    [200, 1000]: coordinates near zero flatten the cube toward a degenerate,
-    noise-hypersensitive shape), closes it with ``cube_closure``, applies a
-    random well-conditioned affine map with entries m/1000 when
-    ``apply_map``, and fits the result into [-1, 1]^3 with one scale per
-    axis.  Returns ``(nums, dens)``: coordinate ``ax`` of vertex ``k`` (label
-    order 0,1,2,3,6,7,8,9) is the rational ``nums[k][ax] / dens[ax]``, with
-    ``dens[ax] > 0``.  The vertices are homogeneous integer vectors with
-    weights 1, 1000 and that of vertex 8, brought to one positive weight,
-    their lcm, so every step is exact integer arithmetic.
-    """
-    # One call of size n draws what n scalar calls would, in the same order.
-    a, b, c, d, e, f = rng.integers(200, 1001, size=6).tolist()
-    verts = dict(NORMAL_FORM_BASE)
-    verts[1] = (a, b, 0, 1000)
-    verts[6] = (c, 0, d, 1000)
-    verts[7] = (0, e, f, 1000)
-    verts[8] = cube_closure(verts[1], verts[6], verts[7])
-    if verts[8][3] == 0:
-        raise DegenerateIntersection("facet planes do not meet in an affine point")
-    weight = lcm(1000, verts[8][3])
-    pts = []
-    for lab in CUBE_LABELS:
-        *xyz, w = verts[lab]
-        pts.append([u * (weight // w) for u in xyz])
-    if apply_map:
-        for _ in range(200):
-            M = rng.integers(-1000, 1001, size=(3, 3))
-            # Reject ill-conditioned maps: they squash the cube toward a
-            # degenerate configuration.  The check is float-only; the map
-            # itself stays exact.  It rejects every singular map but the
-            # zero one, whose image the box fit rejects as flat.
-            sv = np.linalg.svd(M / 1000, compute_uv=False)
-            if sv[-1] >= sv[0] / 4.0:
-                break
-        else:
-            raise DegenerateIntersection("could not sample an invertible affine map")
-        M = M.tolist()
-        pts = [[r[0] * p[0] + r[1] * p[1] + r[2] * p[2] for r in M] for p in pts]
-    lo = [min(col) for col in zip(*pts)]
-    hi = [max(col) for col in zip(*pts)]
-    if any(h == l for h, l in zip(hi, lo)):
-        raise DegenerateIntersection("flat cube candidate")
-    # 2 (p - lo) / (hi - lo) - 1 on each axis.
-    nums = [[2 * u - l - h for u, l, h in zip(p, lo, hi)] for p in pts]
-    return nums, [h - l for h, l in zip(hi, lo)]
-
-
 def random_rational_cube(rng, apply_map=True):
     """Random combinatorial-cube candidate with exact rational vertices,
     affinely mapped into the box [-1, 1]^3.
@@ -215,7 +159,7 @@ def vanishing_certificate(rng, trials=100, controls=20):
             nonzero_controls += invariant != 0
         else:
             vanished += invariant == 0
-            rank_ok += exact_rank(veronese_lift(np.array(cube, dtype=object)).tolist()) <= 7
+            rank_ok += exact_rank(exact_veronese_matrix(cube)) <= 7
     return {
         "trials": trials,
         "vanished": vanished,

@@ -41,13 +41,24 @@ def as_points(pts, dim):
     return arr
 
 
+def _unit(v):
+    """v over its norm.  Where the norm would under- or overflow, v is first
+    scaled by a power of two, which is exact, so no ordinary input changes."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 1e-150 < nrm < 1e150:
+        if not np.isfinite(v).all():
+            raise ValueError("entries must be finite")
+        if not v.any():
+            raise ZeroMatrix("the zero vector has no direction")
+        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+        nrm = np.linalg.norm(v)
+    return v / nrm
+
+
 def canon(v):
     """Canonical projective representative: unit norm, first nonzero entry > 0."""
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ZeroMatrix("cannot canonicalize the zero vector")
-    out = v / nrm
+    out = _unit(np.asarray(v, dtype=float))
     flat = out.reshape(-1)
     lead = flat[np.abs(flat) > 1e-12][0]
     if lead < 0:
@@ -144,12 +155,8 @@ def epipolar_residual(F, X, Y):
 
 def grassmann_angle(F1, F2):
     """Angle in [0, pi/2] between the vectorizations of two matrices."""
-    a = np.asarray(F1, dtype=float).reshape(-1)
-    b = np.asarray(F2, dtype=float).reshape(-1)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroMatrix("grassmann_angle needs two nonzero matrices")
-    u, v = a / na, b / nb
+    u = _unit(np.asarray(F1, dtype=float).reshape(-1))
+    v = _unit(np.asarray(F2, dtype=float).reshape(-1))
     d = float(u @ v)
     # arctan2 formulation of arccos(|d|): exact near 0 where arccos
     # saturates at sqrt(eps).

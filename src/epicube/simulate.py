@@ -70,8 +70,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if len(self.noise_levels) < 1:
             raise ValueError("need at least one noise level")
-        if any(n < 0 for n in self.noise_levels):
-            raise ValueError("noise levels must be nonnegative")
+        if not all(0 <= n < math.inf for n in self.noise_levels):
+            raise ValueError("noise levels must be finite and nonnegative")
 
 
 def look_at_camera(f):
@@ -96,8 +96,8 @@ def sample_camera_pair(rng, radius):
     Narrow baselines amplify image noise dramatically in the near-critical
     cube geometry.  Raises ExhaustedRetries after MAX_CAMERA_DRAWS draws.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     for _ in range(MAX_CAMERA_DRAWS):
         # Norms as sqrt(x.dot(x)), which is what np.linalg.norm computes for
         # a vector, without its per-call overhead.
@@ -119,8 +119,8 @@ def add_noise(pts, sigma_frac, rng):
     Points are dehomogenized, perturbed i.i.d. with standard deviation
     sigma_frac * (bbox diagonal of the cloud), and rehomogenized.
     """
-    if sigma_frac < 0:
-        raise ValueError("sigma_frac must be nonnegative")
+    if not 0 <= sigma_frac < math.inf:
+        raise ValueError("sigma_frac must be finite and nonnegative")
     P = as_points(pts, 3)
     aff = dehomogenize(P)
     if sigma_frac == 0.0:

@@ -163,6 +163,13 @@ class TestUsageErrors:
         [
             (["simulate", "--levels", "0"], "must be >= 1"),
             (["region", "--resolution", "1"], "must be >= 2"),
+            (["simulate", "--noise-max", "nan"], "finite"),
+            (["simulate", "--noise-max", "-0.1"], "must be >= 0"),
+            (["region", "--f1", "a,b,c"], "finite"),
+            (["region", "--f1", "1,2"], "three numbers"),
+            (["region", "--extent", "nan"], "finite"),
+            (["region", "--extent", "0"], "must be > 0"),
+            (["region", "--plane-z", "inf"], "finite"),
         ],
     )
     def test_count_below_minimum(self, tmp_path, capsys, argv, message):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epicube.degeneracy import (
     CUBE_LABELS,
+    FACET_IDX,
     FACETS,
     UNIT_CUBE_VERTICES,
+    _integer_cube,
+    bracket,
     build_Z,
     facet_planes,
     invariant_terms,
@@ -14,8 +19,8 @@ from epicube.degeneracy import (
     random_combinatorial_cube,
     veronese_matrix,
 )
-from epicube.exceptions import LengthMismatch
-from epicube.projective import focal_point, project_all
+from epicube.exceptions import DegenerateIntersection, LengthMismatch
+from epicube.projective import as_points, focal_point, project_all
 
 
 class TestVeronese:
@@ -144,6 +149,57 @@ class TestCombinatorialCube:
         ok, diag = is_combinatorial_cube(UNIT_CUBE_VERTICES @ T.T)
         assert not ok
         assert all(diag["coplanar"]) and not all(diag["strict_side"])
+
+
+def reference_is_combinatorial_cube(vertices):
+    """The convexity check with each facet's flatness from its bracket on
+    Python floats and its plane from facet_planes: an independent oracle
+    for the single facet SVD."""
+    V = as_points(vertices, 4)
+    if V.shape != (8, 4):
+        raise ValueError("a cube has exactly 8 vertices")
+    tol = 1e-8
+    if np.any(np.abs(V[:, 3]) <= tol * np.linalg.norm(V, axis=1)):
+        return False, {"affine": False, "coplanar": [], "strict_side": []}
+    V = V / V[:, 3][:, None]
+    bound = tol * np.maximum(np.linalg.norm(V, axis=1)[FACET_IDX].max(axis=1) ** 4, 1.0)
+    rows = V.tolist()
+    dets = np.array([bracket(*(rows[i] for i in idx)) for idx in FACET_IDX.tolist()])
+    coplanar = np.abs(dets) <= bound
+    vals = np.einsum("kj,kij->ki", facet_planes(V), V[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
+    strict = np.all(vals > bound[:, None], axis=1) | np.all(vals < -bound[:, None], axis=1)
+    diag = {"affine": True, "coplanar": coplanar.tolist(), "strict_side": strict.tolist()}
+    return bool(coplanar.all() and strict.all()), diag
+
+
+@st.composite
+def sampler_candidates(draw):
+    """Float vertices of one exact sampler draw: as drawn, with every vertex
+    pushed off its facets by noise, or with one vertex reflected through the
+    plane of a facet it is not on."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    try:
+        nums, dens = _integer_cube(rng, True)
+    except DegenerateIntersection:
+        assume(False)
+    V = np.array([[n / d for n, d in zip(row, dens)] + [1.0] for row in nums])
+    kind = draw(st.sampled_from(["exact", "off_facets", "across"]))
+    if kind == "off_facets":
+        V[:, :3] += 10.0 ** draw(st.floats(-12, -2)) * rng.standard_normal((8, 3))
+    elif kind == "across":
+        k = draw(st.integers(0, 7))
+        f = draw(st.sampled_from([f for f in range(6) if k not in FACET_IDX[f]]))
+        plane = facet_planes(V)[f]
+        n = plane[:3]
+        V[k, :3] -= 2.0 * (plane @ V[k]) / (n @ n) * n
+    return V
+
+
+class TestReferenceConvexity:
+    @given(sampler_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bracket_reference(self, V):
+        assert is_combinatorial_cube(V) == reference_is_combinatorial_cube(V)
 
 
 class TestRandomCube:

@@ -54,6 +54,19 @@ class TestCanon:
         with pytest.raises(ZeroMatrix):
             canon(np.zeros(3))
 
+    def test_power_of_two_scales_keep_bits(self):
+        # Scalings beyond about 2**+-500 take the rescaled branch; it must
+        # give the very bits of the unscaled input.
+        M = np.array([[0.3, -1.7, 2.2], [1e-3, 0.9, -0.4], [5.0, -2.5, 0.11]])
+        expected = canon(M)
+        for k in range(-1000, 1001):
+            assert np.array_equal(canon(np.ldexp(M, k)), expected), k
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            canon([1.0, bad, 0.0])
+
     def test_proj_equal_up_to_scale(self):
         assert proj_equal([1.0, 2.0, 3.0], [-2.0, -4.0, -6.0])
         assert not proj_equal([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
@@ -158,6 +171,22 @@ class TestGrassmannAngle:
     def test_zero_matrix_raises(self):
         with pytest.raises(ZeroMatrix):
             grassmann_angle(np.zeros((3, 3)), np.eye(3))
+
+    def test_extreme_scales(self, rng):
+        A, B = rng.standard_normal((2, 3, 3))
+        expected = grassmann_angle(A, B)
+        for e in range(-300, 301):
+            assert np.isclose(grassmann_angle(10.0**e * A, B), expected, rtol=0.0, atol=1e-12), e
+        assert grassmann_angle(1e300 * np.eye(3), np.eye(3)) < 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        F = np.eye(3)
+        F[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            grassmann_angle(F, np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            grassmann_angle(np.eye(3), F)
 
     def test_range(self, rng):
         for _ in range(50):

@@ -54,8 +54,9 @@ class TestSampleCameraPair:
             assert np.linalg.norm(p1 - p2) >= 1.97 * 6.0 - 1e-9
 
     def test_invalid_radius(self, rng):
-        with pytest.raises(ValueError):
-            sample_camera_pair(rng, 0.0)
+        for radius in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                sample_camera_pair(rng, radius)
 
     def test_unreachable_separation_exhausts_budget(self, rng, monkeypatch):
         # The +-5% shell puts the centers at most 2.1 radii apart.
@@ -86,8 +87,9 @@ class TestAddNoise:
         assert np.array_equal(a, b)
 
     def test_negative_sigma_rejected(self, rng):
-        with pytest.raises(ValueError):
-            add_noise(homogenize(np.zeros((2, 2))), -0.1, rng)
+        for sigma in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                add_noise(homogenize(np.zeros((2, 2))), sigma, rng)
 
 
 class TestExperimentConfig:
@@ -98,6 +100,9 @@ class TestExperimentConfig:
             ExperimentConfig(noise_levels=(-0.1,))
         with pytest.raises(ValueError):
             ExperimentConfig(noise_levels=())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ExperimentConfig(noise_levels=(0.0, bad))
 
 
 class TestRunTrial:
