@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import degeneracy, exact, quadrics, simulate
-from .estimators import cube_eight_point, eight_point, seven_point
+from .estimators import ALGOS, _estimate
 from .exceptions import EpicubeError
 from .projective import canonical_fmatrix, epipolar_residual
 
@@ -63,13 +63,7 @@ def _print_fmatrix(F, residual):
 def _cmd_estimate(args):
     XY = _read_columns(args.input, ("x1", "x2", "x3", "y1", "y2", "y3"))
     X, Y = XY[:, :3], XY[:, 3:]
-    if args.algo == "8pt":
-        F = eight_point(X, Y)
-    elif args.algo == "7pt":
-        sol = seven_point(X[:7], Y[:7])
-        F, _ = sol.best(X, Y)
-    else:
-        F = cube_eight_point(X, Y)
+    F = _estimate(args.algo, X, Y)
     _print_fmatrix(F, epipolar_residual(F, X, Y))
     return 0
 
@@ -148,7 +142,7 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="estimate F from a correspondence CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--algo", choices=("8pt", "7pt", "cube8"), default="cube8")
+    p.add_argument("--algo", choices=ALGOS, default="cube8")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("verify-degeneracy", help="rank audit of a 3D point file")

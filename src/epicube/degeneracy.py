@@ -68,14 +68,16 @@ UNIT_CUBE_VERTICES = np.array(
 
 # Exact candidates drawn per cube; about a quarter pass the convexity check.
 MAX_CUBE_CANDIDATES = 200
+# Affine maps drawn per candidate; 30% pass, so 0.7^200 ~ 1e-31 run out.
+MAX_AFFINE_MAP_DRAWS = 200
 
 
 @dataclass
 class CubeConfig:
     """Eight labeled vertices of a combinatorial cube.
 
-    ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9 with all
-    points affine (nonzero last coordinate).
+    ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9; whether
+    they are affine and form a cube is ``is_combinatorial_cube``'s check.
     """
 
     vertices: np.ndarray
@@ -174,7 +176,8 @@ def _integer_cube(rng, apply_map):
     order 0,1,2,3,6,7,8,9) is the rational ``nums[k][ax] / dens[ax]``, with
     ``dens[ax] > 0``.  The vertices are homogeneous integer vectors with
     weights 1, 1000 and that of vertex 8, brought to one positive weight,
-    their lcm, so every step is exact integer arithmetic.
+    their lcm, so every step is exact integer arithmetic.  Raises
+    ExhaustedRetries if MAX_AFFINE_MAP_DRAWS maps are all ill-conditioned.
     """
     # One call of size n draws what n scalar calls would, in the same order.
     a, b, c, d, e, f = rng.integers(200, 1001, size=6).tolist()
@@ -191,7 +194,7 @@ def _integer_cube(rng, apply_map):
         *xyz, w = verts[lab]
         pts.append([u * (weight // w) for u in xyz])
     if apply_map:
-        for _ in range(200):
+        for _ in range(MAX_AFFINE_MAP_DRAWS):
             M = rng.integers(-1000, 1001, size=(3, 3))
             # Reject ill-conditioned maps: they squash the cube toward a
             # degenerate configuration.  The check is float-only; the map
@@ -201,7 +204,7 @@ def _integer_cube(rng, apply_map):
             if sv[-1] >= sv[0] / 4.0:
                 break
         else:
-            raise DegenerateIntersection("could not sample an invertible affine map")
+            raise ExhaustedRetries(f"no well-conditioned affine map in {MAX_AFFINE_MAP_DRAWS} draws")
         M = M.tolist()
         pts = [[r[0] * p[0] + r[1] * p[1] + r[2] * p[2] for r in M] for p in pts]
     lo = [min(col) for col in zip(*pts)]

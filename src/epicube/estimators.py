@@ -28,6 +28,8 @@ from .projective import (
     project,
 )
 
+# The estimators the noise sweep compares and the CLI offers, in record order.
+ALGOS = ("8pt", "7pt", "cube8")
 # Root handling thresholds for the pencil cubic.
 REAL_ROOT_IMAG_TOL = 1e-8
 ROOT_DEDUP_TOL = 1e-8
@@ -251,3 +253,17 @@ def cube_eight_point(X, Y):
     sol = pencil_solve(Vt[7].reshape(3, 3), Vt[8].reshape(3, 3))
     sol.candidates = [canonical_fmatrix(F) for F in TY.T @ np.array(sol.candidates) @ TX]
     return sol.best(X, Y)[0]
+
+
+def _estimate(algo, X, Y):
+    """F by the estimator ``algo`` of ALGOS; "7pt" solves on the first seven
+    correspondences and keeps the candidate of least residual on all of them.
+    The estimators are called by their module-global names, so rebound
+    (traced) ones are the ones that run."""
+    if algo == "8pt":
+        return eight_point(X, Y)
+    if algo == "7pt":
+        return seven_point(X[:7], Y[:7]).best(X, Y)[0]
+    if algo == "cube8":
+        return cube_eight_point(X, Y)
+    raise ValueError(f"unknown estimator {algo!r}")

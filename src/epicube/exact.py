@@ -18,19 +18,22 @@ import numpy as np
 from .degeneracy import CUBE_LABELS, _integer_cube, invariant_terms, veronese_lift
 
 
-def _as_matrix(M):
-    """M as rows of exact rationals: ints and Fractions kept, the rest through Fraction."""
+def _as_matrix(M, width=None):
+    """M as rows of exact rationals (ints and Fractions kept, the rest through
+    Fraction), nonempty, of equal length, and ``width`` long if it is given."""
     rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in M]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("matrix rows must be nonempty and of equal length")
+    if width is not None and len(rows[0]) != width:
+        raise ValueError(f"expected rows of length {width}, got {len(rows[0])}")
     return rows
 
 
-def _integer_rows(M):
+def _integer_rows(M, width=None):
     """The rows of the rational matrix M, each times the positive lcm of its
     denominators, and those multipliers."""
     # ints and Fractions already carry a numerator and a denominator.
-    rows = _as_matrix(M)
+    rows = _as_matrix(M, width)
     mults = [lcm(*(x.denominator for x in r)) for r in rows]
     return [[x.numerator * (m // x.denominator) for x in r] for r, m in zip(rows, mults)], mults
 
@@ -41,9 +44,7 @@ def _eliminate(A):
     Returns the pivots, one per rank, and the sign of the row permutation.
     After each step every updated entry is a minor of A, so the division by
     the previous pivot is exact and the last pivot of a nonsingular square A
-    is its determinant up to that sign.  On ints it skips the gcd of every
-    Fraction update, which cuts the certificate's 8x10 Veronese ranks to a
-    third or a quarter of the time of Gaussian elimination on Fractions.
+    is its determinant up to that sign.
     """
     n_rows, n_cols = len(A), len(A[0])
     sign, prev = 1, 1
@@ -86,7 +87,7 @@ def exact_rank(M):
 
 def exact_veronese_matrix(P):
     """Degree-2 Veronese lifts of rational points of P^3, one row each."""
-    return veronese_lift(np.array(_as_matrix(P), dtype=object)).tolist()
+    return veronese_lift(np.array(_as_matrix(P, 4), dtype=object)).tolist()
 
 
 def exact_turnbull_young(config):
@@ -98,7 +99,7 @@ def exact_turnbull_young(config):
         raise ValueError("need the full 10-point labeled configuration")
     # Every monomial has degree 2 in each point, so scaling point i by L_i
     # scales the invariant by L_i**2.
-    rows, mults = _integer_rows(config)
+    rows, mults = _integer_rows(config, 4)
     return Fraction(sum(invariant_terms(rows)), prod(mults) ** 2)
 
 
@@ -172,6 +173,8 @@ def vanishing_certificate(rng, trials=100, controls=20):
 def exact_config_ten(cube_vertices, f1, f2):
     """Labeled 10-point configuration from cube vertices + focals, the rows
     as given (``exact_turnbull_young`` takes ints and Fractions alike)."""
+    if len(cube_vertices) != 8:
+        raise ValueError("a cube has exactly 8 vertices")
     config = [None] * 10
     for lab, v in zip(CUBE_LABELS, cube_vertices):
         config[lab] = v

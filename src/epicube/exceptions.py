@@ -60,10 +60,6 @@ class NoQuadric(EpicubeError):
     """No quadric passes through the point configuration."""
 
 
-class RankDeficient(EpicubeError):
-    """Coefficient system is rank deficient; solution not unique."""
-
-
 class AtInfinity(EpicubeError):
     """Normalization of the last diagonal entry impossible (it vanishes)."""
 

@@ -20,7 +20,7 @@ from .degeneracy import (
     unit_cube,
     veronese_matrix,
 )
-from .exceptions import AtInfinity, NoQuadric, PencilOfQuadrics, RankDeficient
+from .exceptions import AtInfinity, NoQuadric, PencilOfQuadrics
 from .projective import DEFAULT_TOL, as_point, as_points, canon
 
 RULED_NONDEGENERATE = "RULED_NONDEGENERATE"
@@ -77,7 +77,7 @@ def cube_quadric(C, c1, c2):
     and c2 is sum_k lam_k q_k, lam = r(c1) x r(c2), r(c) = (c^T q_k c)_k.
     ``c2`` is a point, or an (n, 4) stack giving an (n, 4, 4) stack.  Where
     ||lam|| <= 1e-12 ||r(c1)|| ||r(c2)|| a pencil of quadrics fits: a point
-    raises RankDeficient, a stack member is the zero matrix.
+    raises PencilOfQuadrics, a stack member is the zero matrix.
     """
     verts = C.vertices if isinstance(C, CubeConfig) else CubeConfig(C).vertices
     planes = facet_planes(verts)
@@ -93,7 +93,7 @@ def cube_quadric(C, c1, c2):
     lam = a[[1, 2, 0]] * b[:, [2, 0, 1]] - a[[2, 0, 1]] * b[:, [1, 2, 0]]
     ok = np.linalg.norm(lam, axis=1) > 1e-12 * np.linalg.norm(a) * np.linalg.norm(b, axis=1)
     if single and not ok[0]:
-        raise RankDeficient("focal points leave a pencil of quadrics through the cube")
+        raise PencilOfQuadrics("focal points leave a pencil of quadrics through the cube")
     Q = ((lam * ok[:, None]) @ q.reshape(3, 16)).reshape(-1, 4, 4)
     return Q[0] if single else Q
 
@@ -201,7 +201,7 @@ def region_grid(C, f1, chart, resolution, method="auto"):
         raise ValueError("resolution must be >= 2")
     if method not in ("auto", "unit", "general"):
         raise ValueError(f"unknown region_grid method {method!r}")
-    verts = C.vertices if isinstance(C, CubeConfig) else as_points(C, 4)
+    C = C if isinstance(C, CubeConfig) else CubeConfig(C)
     f1 = as_point(f1, 4)
     us, vs = (np.linspace(*r, resolution) for r in (chart.u_range, chart.v_range))
     f2s = chart.point(us[:, None], vs).reshape(-1, 4)
@@ -209,10 +209,10 @@ def region_grid(C, f1, chart, resolution, method="auto"):
         Q = np.zeros((len(f2s), 4, 4))
         for i, f2 in enumerate(f2s):
             try:
-                Q[i] = quadric_through_points(np.vstack([verts, f1, f2]))
+                Q[i] = quadric_through_points(np.vstack([C.vertices, f1, f2]))
             except (PencilOfQuadrics, NoQuadric):
                 pass
     else:
-        Q = cube_quadric(verts, f1, f2s)
+        Q = cube_quadric(C, f1, f2s)
     uv = [(u, v) for u in us.tolist() for v in vs.tolist()]
     return [(u, v, qc) for (u, v), qc in zip(uv, _classify_stack(Q))]

@@ -10,17 +10,12 @@ comparable along the noise grid.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .degeneracy import random_combinatorial_cube
-from .estimators import (
-    cube_eight_point,
-    eight_point,
-    fundamental_from_cameras,
-    seven_point,
-)
+from .estimators import ALGOS, _estimate, fundamental_from_cameras
 from .exceptions import EpicubeError, ExhaustedRetries
 from .quadrics import NONRULED_NONDEGENERATE, classify, cube_quadric
 from .projective import (
@@ -33,7 +28,6 @@ from .projective import (
     project_all,
 )
 
-ALGOS = ("8pt", "7pt", "cube8")
 FAILED_ANGLE = math.pi / 2.0
 CAMERA_RADIUS = 6.0
 # Least camera-center separation, in units of the camera radius; the +-5%
@@ -134,13 +128,6 @@ def _seed_of(seq):
     return int(seq.generate_state(1)[0])
 
 
-def _seven_point(X, Y):
-    """7-point pencil of the first seven correspondences; the member with
-    the least residual on all of them."""
-    F, _ = seven_point(X[:7], Y[:7]).best(X, Y)
-    return F
-
-
 def run_trial(cfg, trial_idx):
     """One trial at every noise level of cfg; returns a record per
     algorithm and level, level by level.
@@ -182,10 +169,9 @@ def run_trial(cfg, trial_idx):
         noise_rng = np.random.default_rng(noise_ss)
         Xn = add_noise(X, sigma, noise_rng)
         Yn = add_noise(Y, sigma, noise_rng)
-        # Built per level, so estimators rebound on this module (traced) are used.
-        for algo, estimate in (("8pt", eight_point), ("7pt", _seven_point), ("cube8", cube_eight_point)):
+        for algo in ALGOS:
             try:
-                F = estimate(Xn, Yn)
+                F = _estimate(algo, Xn, Yn)
             except EpicubeError:
                 angle, resid, failed = FAILED_ANGLE, float("nan"), True
             else:

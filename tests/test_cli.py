@@ -5,6 +5,7 @@ import pytest
 
 from epicube.cli import main
 from epicube.degeneracy import UNIT_CUBE_VERTICES
+from epicube.estimators import seven_point
 from conftest import X_IMAGE, Y_IMAGE
 
 
@@ -45,8 +46,13 @@ class TestEstimate:
         assert main(["estimate", "--input", corr_csv, "--algo", "8pt"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_7pt_runs(self, corr_csv):
+    def test_7pt_runs(self, corr_csv, capsys):
+        # The CSV holds the fixture's floats exactly (repr round trip), so
+        # the printed F and residual are those of the library call.
         assert main(["estimate", "--input", corr_csv, "--algo", "7pt"]) == 0
+        F, residual = seven_point(X_IMAGE[:7], Y_IMAGE[:7]).best(X_IMAGE, Y_IMAGE)
+        expected = [" ".join(repr(float(v)) for v in row) for row in F]
+        assert capsys.readouterr().out.splitlines() == expected + [f"residual: {residual!r}"]
 
     def test_missing_file(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 2

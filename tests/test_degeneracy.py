@@ -19,7 +19,8 @@ from epicube.degeneracy import (
     random_combinatorial_cube,
     veronese_matrix,
 )
-from epicube.exceptions import DegenerateIntersection, LengthMismatch
+from epicube import degeneracy
+from epicube.exceptions import DegenerateIntersection, ExhaustedRetries, LengthMismatch
 from epicube.projective import as_points, focal_point, project_all
 
 
@@ -210,6 +211,13 @@ class TestRandomCube:
             assert ok
             aff = cube.vertices[:, :3] / cube.vertices[:, 3][:, None]
             assert np.all(np.abs(aff) <= 1.0 + 1e-12)
+
+    def test_affine_map_budget_raises_exhausted_retries(self, rng, monkeypatch):
+        monkeypatch.setattr(degeneracy, "MAX_AFFINE_MAP_DRAWS", 0)
+        with pytest.raises(ExhaustedRetries):
+            _integer_cube(rng, True)
+        with pytest.raises(ExhaustedRetries):
+            random_combinatorial_cube(rng)
 
     def test_image_rank_drop(self, rng):
         # The central claim: Z of any cube image has rank at most 7.

@@ -10,6 +10,7 @@ from epicube.degeneracy import (
     CUBE_LABELS,
     MAX_CUBE_CANDIDATES,
     NORMAL_FORM_BASE,
+    UNIT_CUBE_VERTICES,
     bracket,
     cross4,
     cube_closure,
@@ -29,7 +30,7 @@ from epicube.exact import (
     random_rational_point,
     vanishing_certificate,
 )
-from epicube.exceptions import DegenerateIntersection
+from epicube.exceptions import DegenerateIntersection, ExhaustedRetries
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=20
@@ -235,6 +236,30 @@ class TestTurnbullYoungIntegerPath:
         assert exact_turnbull_young(mapped) == cofactor_det(G) ** 5 * exact_turnbull_young(config)
 
 
+CUBE = UNIT_CUBE_VERTICES.astype(int).tolist()
+
+
+class TestBoundary:
+    """Like the float path's ``as_points(P, 4)``: points are 4-vectors and a
+    cube has eight of them, or the call raises ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: exact_veronese_matrix([[1, 2, 3, 4, 5]] * 2),
+            lambda: exact_veronese_matrix([[1, 2, 3]]),
+            lambda: exact_turnbull_young([[1, 2, 3]] * 10),
+            lambda: exact_turnbull_young([[1, 2, 3, 4, 5]] * 10),
+            lambda: exact_turnbull_young(exact_config_ten(CUBE[:7], [9, 0, 0, 1], [0, 9, 0, 1])),
+            lambda: exact_config_ten(CUBE + [[0, 0, 0, 1]], [9, 0, 0, 1], [0, 9, 0, 1]),
+        ],
+        ids=["veronese-5", "veronese-3", "invariant-3", "invariant-5", "seven-vertices", "nine-vertices"],
+    )
+    def test_rejects_with_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
 class TestConfigTen:
     def test_label_placement(self, rng):
         cube = [tuple(Fraction(int(x)) for x in rng.integers(-5, 6, 4)) for _ in range(8)]
@@ -271,7 +296,7 @@ def reference_rational_cube(rng, apply_map=True):
             if sv[-1] >= sv[0] / 4.0:
                 break
         else:
-            raise DegenerateIntersection("no well-conditioned map")
+            raise ExhaustedRetries("no well-conditioned map")
         pts = [[sum(A[i][j] * p[j] for j in range(3)) for i in range(3)] for p in pts]
     out = [[None] * 3 + [Fraction(1)] for _ in pts]
     for ax in range(3):
@@ -290,7 +315,7 @@ def draws(sampler, seed, n=6):
     for i in range(n):
         try:
             out.append(sampler(rng, apply_map=bool(i % 2)))
-        except DegenerateIntersection as exc:
+        except (DegenerateIntersection, ExhaustedRetries) as exc:
             out.append(type(exc).__name__)
     return out
 

@@ -11,7 +11,7 @@ from epicube.degeneracy import (
     unit_cube,
     veronese_matrix,
 )
-from epicube.exceptions import AtInfinity, NoQuadric, PencilOfQuadrics, RankDeficient
+from epicube.exceptions import AtInfinity, NoQuadric, PencilOfQuadrics
 from epicube.projective import focal_point, proj_equal
 from epicube.quadrics import (
     DEGENERATE,
@@ -148,7 +148,7 @@ class TestCubeQuadric:
         P = np.vstack([cube.vertices, f1, f2])
         try:
             Q = cube_quadric(cube, f1, f2)
-        except RankDeficient:
+        except PencilOfQuadrics:
             with pytest.raises(PencilOfQuadrics):
                 quadric_through_points(P)
             return
@@ -170,7 +170,7 @@ class TestCubeQuadric:
         # The member with f2 = f1 leaves a pencil: zero in a stack, an
         # error alone.
         assert not Qs[2].any()
-        with pytest.raises(RankDeficient):
+        with pytest.raises(PencilOfQuadrics):
             cube_quadric(cube, f1, f1)
         for i in (0, 1, 3, 4):
             assert np.allclose(Qs[i], cube_quadric(cube, f1, f2s[i]), rtol=0, atol=1e-14)
@@ -290,6 +290,13 @@ class TestRegionGrid:
             one = classify(cube_quadric(cube, f1, chart.point(u, v)))
             assert (one.tag, one.inertia) == (qc.tag, qc.inertia)
             assert one.margin == pytest.approx(qc.margin, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("method", ["auto", "general"])
+    def test_seven_vertices_rejected(self, method):
+        # Both methods take a raw vertex array through the same cube check.
+        chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
+        with pytest.raises(ValueError, match="exactly 8 vertices"):
+            region_grid(UNIT_CUBE_VERTICES[:7], [2.0, 3.0, 4.0, 1.0], chart, 3, method=method)
 
     def test_unknown_method_raises(self):
         chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
