@@ -7,13 +7,13 @@ carry the labels 0,1,2,3,6,7,8,9; a full 10-point configuration adds the
 two focal points in labels 4 and 5.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 import numpy as np
 
 from .exceptions import DegenerateIntersection, ExhaustedRetries, LengthMismatch
-from .projective import DEFAULT_TOL, as_points
+from .projective import DEFAULT_TOL, _unit_rows, as_points
 
 # Vertex labels of the cube inside the 10-point labeling; 4 and 5 are the
 # focal-point slots.
@@ -72,20 +72,25 @@ MAX_CUBE_CANDIDATES = 200
 MAX_AFFINE_MAP_DRAWS = 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubeConfig:
-    """Eight labeled vertices of a combinatorial cube.
+    """Eight labeled vertices of a combinatorial cube, checked and frozen.
 
-    ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9; whether
-    they are affine and form a cube is ``is_combinatorial_cube``'s check.
+    ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9.  The
+    constructor raises ValueError where ``is_combinatorial_cube`` says False,
+    and keeps in ``planes`` the facet planes (row k for FACETS[k]) from that
+    check's SVD.
     """
 
     vertices: np.ndarray
+    planes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.vertices = as_points(self.vertices, 4)
-        if self.vertices.shape != (8, 4):
-            raise ValueError("a cube has exactly 8 vertices")
+        ok, diag, vertices, planes = _facet_check(self.vertices)
+        if not ok:
+            raise ValueError(f"not a combinatorial cube: {diag}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "planes", planes)
 
 
 def unit_cube():
@@ -250,9 +255,27 @@ def kernel_basis(M):
     return [vt[i] for i in range(rank, M.shape[1])]
 
 
-def facet_planes(vertices):
-    """Best-fit plane of each facet's 4 points (row k for FACETS[k])."""
-    return np.linalg.svd(vertices[FACET_IDX])[2][:, 3]
+def _facet_check(vertices):
+    """The convexity check: (verdict, diagnostics, vertices, planes or None)."""
+    V = as_points(vertices, 4)
+    if V.shape != (8, 4):
+        raise ValueError("a cube has exactly 8 vertices")
+    tol = 1e-8
+    # On unit rows, so that no norm under- or overflows at extreme scales.
+    if np.any(np.abs(_unit_rows(V)[:, 3]) <= tol):
+        return False, {"affine": False, "coplanar": [], "strict_side": []}, V, None
+    # Work on last-coordinate-1 representatives so scales are comparable.
+    W = V / V[:, 3][:, None]
+    bound = tol * np.maximum(np.linalg.norm(W, axis=1)[FACET_IDX].max(axis=1) ** 4, 1.0)
+    # One SVD per facet gives both tests: |det| is the product of the
+    # singular values, and the last right singular vector is the plane.
+    _, s, vt = np.linalg.svd(W[FACET_IDX])
+    coplanar = s.prod(axis=1) <= bound
+    # The vertices off a facet are those of the opposite facet.
+    vals = np.einsum("kj,kij->ki", vt[:, 3], W[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
+    strict = np.all(vals > bound[:, None], axis=1) | np.all(vals < -bound[:, None], axis=1)
+    diag = {"affine": True, "coplanar": coplanar.tolist(), "strict_side": strict.tolist()}
+    return bool(coplanar.all() and strict.all()), diag, V, vt[:, 3]
 
 
 def is_combinatorial_cube(vertices):
@@ -261,23 +284,7 @@ def is_combinatorial_cube(vertices):
     ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9.
     Returns (verdict, diagnostic dict).
     """
-    V = CubeConfig(vertices).vertices
-    tol = 1e-8
-    if np.any(np.abs(V[:, 3]) <= tol * np.linalg.norm(V, axis=1)):
-        return False, {"affine": False, "coplanar": [], "strict_side": []}
-    # Work on last-coordinate-1 representatives so scales are comparable.
-    V = V / V[:, 3][:, None]
-    bound = tol * np.maximum(np.linalg.norm(V, axis=1)[FACET_IDX].max(axis=1) ** 4, 1.0)
-    # One SVD per facet gives both tests: |det| is the product of the
-    # singular values, and the last right singular vector is the plane
-    # facet_planes returns.
-    _, s, vt = np.linalg.svd(V[FACET_IDX])
-    coplanar = s.prod(axis=1) <= bound
-    # The vertices off a facet are those of the opposite facet.
-    vals = np.einsum("kj,kij->ki", vt[:, 3], V[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
-    strict = np.all(vals > bound[:, None], axis=1) | np.all(vals < -bound[:, None], axis=1)
-    diag = {"affine": True, "coplanar": coplanar.tolist(), "strict_side": strict.tolist()}
-    return bool(coplanar.all() and strict.all()), diag
+    return _facet_check(vertices)[:2]
 
 
 def random_combinatorial_cube(rng):
@@ -286,17 +293,14 @@ def random_combinatorial_cube(rng):
     Each candidate is an exact ``_integer_cube`` draw with its affine map,
     and each coordinate is rounded once, so the facet coplanarities hold to
     rounding error and the floats are those of
-    ``exact.random_rational_cube``.  Samples are rejected until the
-    convexity check passes.
+    ``exact.random_rational_cube``.  Samples are rejected until
+    ``CubeConfig`` accepts one.
     """
     for _ in range(MAX_CUBE_CANDIDATES):
         try:
             nums, dens = _integer_cube(rng, True)
-        except DegenerateIntersection:
+            # int / int is correctly rounded, as float(Fraction) is.
+            return CubeConfig(np.array([[n / d for n, d in zip(row, dens)] + [1.0] for row in nums]))
+        except (DegenerateIntersection, ValueError):
             continue
-        # int / int is correctly rounded, as float(Fraction) is.
-        verts = np.array([[n / d for n, d in zip(row, dens)] + [1.0] for row in nums])
-        ok, _ = is_combinatorial_cube(verts)
-        if ok:
-            return CubeConfig(verts)
     raise ExhaustedRetries(f"no valid cube after {MAX_CUBE_CANDIDATES} attempts")

@@ -110,8 +110,10 @@ def project_all(camera, P):
     # einsum matches A @ p bit for bit; P @ A.T does not, and its last-bit
     # changes can flip residual ties between candidates.
     img = np.einsum("ij,nj->ni", A, P)
-    tol = 1e-12 * np.linalg.norm(A) * np.linalg.norm(P, axis=1)
-    if np.any(np.linalg.norm(img, axis=1) <= tol):
+    # Test on A at max |entry| 1 and unit rows of P: no norm under- or overflows.
+    A = A / (np.abs(A).max() or 1.0)
+    unit_img = np.einsum("ij,nj->ni", A, _unit_rows(P))
+    if np.any(np.linalg.norm(unit_img, axis=1) <= 1e-12 * np.linalg.norm(A)):
         raise FocalPointProjection("point projects to the zero vector")
     return img
 

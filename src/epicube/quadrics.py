@@ -15,7 +15,6 @@ from .degeneracy import (
     VERONESE_I,
     VERONESE_J,
     cross4,
-    facet_planes,
     kernel_basis,
     unit_cube,
     veronese_matrix,
@@ -77,10 +76,11 @@ def cube_quadric(C, c1, c2):
     and c2 is sum_k lam_k q_k, lam = r(c1) x r(c2), r(c) = (c^T q_k c)_k.
     ``c2`` is a point, or an (n, 4) stack giving an (n, 4, 4) stack.  Where
     ||lam|| <= 1e-12 ||r(c1)|| ||r(c2)|| a pencil of quadrics fits: a point
-    raises PencilOfQuadrics, a stack member is the zero matrix.
+    raises PencilOfQuadrics, a stack member is the zero matrix.  ``C`` is a
+    CubeConfig or its vertices; anything but a combinatorial cube raises
+    ValueError.
     """
-    verts = C.vertices if isinstance(C, CubeConfig) else CubeConfig(C).vertices
-    planes = facet_planes(verts)
+    planes = (C if isinstance(C, CubeConfig) else CubeConfig(C)).planes
     near, far = planes[0::2], planes[1::2]
     # c^T q_k c = (near_k . c)(far_k . c).
     q = 0.5 * (near[:, :, None] * far[:, None, :] + far[:, :, None] * near[:, None, :])
@@ -195,7 +195,8 @@ def region_grid(C, f1, chart, resolution, method="auto"):
     names the same pass for callers of the former unit-cube path.
     ``"general"`` fits each cell's 10-point quadric through the Veronese
     kernel, the independent check of the closed form.  Cells without a
-    unique quadric are DEGENERATE with inertia (0, 0, 4).
+    unique quadric are DEGENERATE with inertia (0, 0, 4).  ``C`` goes
+    through CubeConfig on every method, so a non-cube raises ValueError.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")

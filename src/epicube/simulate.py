@@ -213,19 +213,11 @@ def records_to_csv(records, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
-        for r in records:
-            w.writerow(
-                [
-                    r.trial,
-                    repr(r.noise),
-                    r.algo,
-                    repr(r.angle_rad),
-                    "nan" if math.isnan(r.residual) else repr(r.residual),
-                    int(r.failed),
-                    r.cube_seed,
-                    r.cam_seed,
-                ]
-            )
+        # csv writes a float as its repr, so NaN as "nan".
+        w.writerows(
+            [r.trial, r.noise, r.algo, r.angle_rad, r.residual, int(r.failed), r.cube_seed, r.cam_seed]
+            for r in records
+        )
 
 
 def summarize(records):

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,18 +7,20 @@ from hypothesis import strategies as st
 
 from epicube.degeneracy import (
     CUBE_LABELS,
+    CUBE_POS,
     FACET_IDX,
     FACETS,
     UNIT_CUBE_VERTICES,
+    CubeConfig,
     _integer_cube,
     bracket,
     build_Z,
-    facet_planes,
     invariant_terms,
     is_combinatorial_cube,
     kernel_basis,
     numerical_rank,
     random_combinatorial_cube,
+    unit_cube,
     veronese_matrix,
 )
 from epicube import degeneracy
@@ -125,9 +129,7 @@ class TestCombinatorialCube:
         assert not all(diag["coplanar"])
 
     def test_facet_planes_contain_their_vertices(self):
-        planes = facet_planes(UNIT_CUBE_VERTICES)
-        from epicube.degeneracy import CUBE_POS
-
+        planes = CubeConfig(UNIT_CUBE_VERTICES).planes
         for facet, plane in zip(FACETS, planes):
             for lab in facet:
                 assert abs(plane @ UNIT_CUBE_VERTICES[CUBE_POS[lab]]) < 1e-12
@@ -135,12 +137,30 @@ class TestCombinatorialCube:
     def test_facet_planes_match_per_facet_svd(self, rng):
         # The stacked SVD runs the same LAPACK routine on each facet as a
         # loop of single SVDs, so the planes agree bit for bit.
-        from epicube.degeneracy import CUBE_POS
-
         for _ in range(20):
-            V = random_combinatorial_cube(rng).vertices
-            loop = [np.linalg.svd(V[[CUBE_POS[lab] for lab in f]])[2][3] for f in FACETS]
-            assert np.array_equal(facet_planes(V), np.array(loop))
+            cube = random_combinatorial_cube(rng)
+            assert np.array_equal(cube.planes, per_facet_planes(cube.vertices))
+            assert np.array_equal(CubeConfig(cube.vertices).planes, cube.planes)
+
+    def test_non_cube_rejected(self):
+        # Eight uniform points: no facet is coplanar.
+        V = np.append(np.random.default_rng(0).uniform(-1, 1, (8, 3)), np.ones((8, 1)), axis=1)
+        assert not is_combinatorial_cube(V)[0]
+        with pytest.raises(ValueError, match="not a combinatorial cube"):
+            CubeConfig(V)
+
+    def test_checked_cube_is_frozen(self):
+        # Reassigning the vertices would bypass the check and leave the
+        # planes stale.
+        cube = unit_cube()
+        with pytest.raises(FrozenInstanceError):
+            cube.vertices = np.random.default_rng(0).uniform(-1, 1, (8, 4))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e170, 1e300])
+    def test_extreme_scales(self, scale):
+        ok, diag = is_combinatorial_cube(UNIT_CUBE_VERTICES * scale)
+        assert ok and diag["affine"]
+        assert np.array_equal(CubeConfig(UNIT_CUBE_VERTICES * scale).planes, unit_cube().planes)
 
     def test_nonconvex_fails_strict_side_only(self):
         # A projective map that sends a plane through the cube to infinity
@@ -152,10 +172,15 @@ class TestCombinatorialCube:
         assert all(diag["coplanar"]) and not all(diag["strict_side"])
 
 
+def per_facet_planes(V):
+    """Best-fit plane of each facet's 4 points, one SVD per facet."""
+    return np.array([np.linalg.svd(V[[CUBE_POS[lab] for lab in f]])[2][3] for f in FACETS])
+
+
 def reference_is_combinatorial_cube(vertices):
     """The convexity check with each facet's flatness from its bracket on
-    Python floats and its plane from facet_planes: an independent oracle
-    for the single facet SVD."""
+    Python floats and its plane from its own SVD: an independent oracle
+    for the single stacked facet SVD."""
     V = as_points(vertices, 4)
     if V.shape != (8, 4):
         raise ValueError("a cube has exactly 8 vertices")
@@ -167,7 +192,7 @@ def reference_is_combinatorial_cube(vertices):
     rows = V.tolist()
     dets = np.array([bracket(*(rows[i] for i in idx)) for idx in FACET_IDX.tolist()])
     coplanar = np.abs(dets) <= bound
-    vals = np.einsum("kj,kij->ki", facet_planes(V), V[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
+    vals = np.einsum("kj,kij->ki", per_facet_planes(V), V[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
     strict = np.all(vals > bound[:, None], axis=1) | np.all(vals < -bound[:, None], axis=1)
     diag = {"affine": True, "coplanar": coplanar.tolist(), "strict_side": strict.tolist()}
     return bool(coplanar.all() and strict.all()), diag
@@ -190,7 +215,7 @@ def sampler_candidates(draw):
     elif kind == "across":
         k = draw(st.integers(0, 7))
         f = draw(st.sampled_from([f for f in range(6) if k not in FACET_IDX[f]]))
-        plane = facet_planes(V)[f]
+        plane = per_facet_planes(V)[f]
         n = plane[:3]
         V[k, :3] -= 2.0 * (plane @ V[k]) / (n @ n) * n
     return V

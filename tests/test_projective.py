@@ -104,6 +104,22 @@ class TestCamera:
         with pytest.raises(FocalPointProjection):
             project_all(standard_instance["A1"], P)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    def test_project_all_at_extreme_scales(self, standard_instance, scale):
+        # Scaling the points or the camera scales the image and leaves the
+        # camera centre the one point that projects to zero.
+        A = np.array(standard_instance["A1"], dtype=float)
+        P = np.array(standard_instance["cube"], dtype=float)
+        X = project_all(A, P)
+        assert proj_equal(project_all(A, P * scale), X)
+        assert proj_equal(project_all(A * scale, P), X)
+        assert np.array_equal(project(A, P[0] * scale), A @ (P[0] * scale))
+        for cam, c in ((A, focal_point(A) * scale), (A * scale, focal_point(A))):
+            with pytest.raises(FocalPointProjection):
+                project(cam, c)
+            with pytest.raises(FocalPointProjection):
+                project_all(cam, np.vstack([P, c]))
+
     def test_focal_point_in_kernel(self, standard_instance):
         for A in (standard_instance["A1"], standard_instance["A2"]):
             c = focal_point(A)

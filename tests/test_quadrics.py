@@ -33,6 +33,8 @@ from epicube.simulate import CAMERA_RADIUS, sample_camera_pair
 # The standard instance's focal points (second camera one unit closer).
 F1 = np.array([-2.0, -3.0, -2.0, 1.0])
 F2 = np.array([-2.0, -3.0, -1.0, 1.0])
+# Eight uniform points in [-1, 1]^3: not a cube, no facet is coplanar.
+NON_CUBE = np.append(np.random.default_rng(0).uniform(-1, 1, (8, 3)), np.ones((8, 1)), axis=1)
 
 
 class TestCoefficients:
@@ -183,6 +185,11 @@ class TestCubeQuadric:
         for s in (1e-200, 1e200):
             assert proj_equal(cube_quadric(cube.vertices * s, f1 * s, f2 / s), Q, tol=1e-9)
 
+    def test_non_cube_rejected(self):
+        # The facet pencil spans the quadrics through a cube only.
+        with pytest.raises(ValueError, match="not a combinatorial cube"):
+            cube_quadric(NON_CUBE, [2.0, 3.0, 4.0, 1.0], [-3.0, 1.0, 5.0, 1.0])
+
     def test_near_coincident_focal_points_keep_a_unique_quadric(self):
         # f2 within 1e-6 of f1: ill-conditioned, but one quadric still fits.
         cube = random_combinatorial_cube(np.random.default_rng(3))
@@ -297,6 +304,12 @@ class TestRegionGrid:
         chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
         with pytest.raises(ValueError, match="exactly 8 vertices"):
             region_grid(UNIT_CUBE_VERTICES[:7], [2.0, 3.0, 4.0, 1.0], chart, 3, method=method)
+
+    @pytest.mark.parametrize("method", ["auto", "unit", "general"])
+    def test_non_cube_rejected(self, method):
+        chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
+        with pytest.raises(ValueError, match="not a combinatorial cube"):
+            region_grid(NON_CUBE, [2.0, 3.0, 4.0, 1.0], chart, 10, method=method)
 
     def test_unknown_method_raises(self):
         chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
