@@ -79,7 +79,8 @@ class CubeConfig:
     ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9.  The
     constructor raises ValueError where ``is_combinatorial_cube`` says False,
     and keeps in ``planes`` the facet planes (row k for FACETS[k]) from that
-    check's SVD.
+    check's SVD.  It keeps a copy of the vertices, and both arrays are
+    read-only.
     """
 
     vertices: np.ndarray
@@ -231,15 +232,23 @@ def build_Z(X, Y):
     Y = as_points(Y, 3)
     if len(X) != len(Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
-    return (Y[:, :, None] * X[:, None, :]).reshape(len(X), 9)
+    return _kron_rows(X, Y)
+
+
+def _kron_rows(X, Y):
+    """build_Z on (..., n, 3) stacks of checked points."""
+    return (Y[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (9,))
+
+
+def _ranks(s, rank_tol=DEFAULT_TOL):
+    """Number of singular values above rank_tol * sigma_max, for each row of
+    a (..., k) stack of singular values in descending order."""
+    return np.where(s[..., 0] > 0.0, np.sum(s > rank_tol * s[..., :1], axis=-1), 0)
 
 
 def numerical_rank(M, rank_tol=DEFAULT_TOL):
     """Number of singular values above rank_tol * sigma_max."""
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(_ranks(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False), rank_tol))
 
 
 def kernel_basis(M):
@@ -251,13 +260,14 @@ def kernel_basis(M):
     """
     M = np.asarray(M, dtype=float)
     _, s, vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > DEFAULT_TOL * s[0])) if s[0] > 0.0 else 0
-    return [vt[i] for i in range(rank, M.shape[1])]
+    return [vt[i] for i in range(int(_ranks(s)), M.shape[1])]
 
 
 def _facet_check(vertices):
-    """The convexity check: (verdict, diagnostics, vertices, planes or None)."""
-    V = as_points(vertices, 4)
+    """The convexity check: (verdict, diagnostics, vertices, planes or None),
+    the vertices a read-only copy of the input and the planes read-only."""
+    V = as_points(vertices, 4).copy()
+    V.flags.writeable = False
     if V.shape != (8, 4):
         raise ValueError("a cube has exactly 8 vertices")
     tol = 1e-8
@@ -275,7 +285,9 @@ def _facet_check(vertices):
     vals = np.einsum("kj,kij->ki", vt[:, 3], W[FACET_IDX[[1, 0, 3, 2, 5, 4]]])
     strict = np.all(vals > bound[:, None], axis=1) | np.all(vals < -bound[:, None], axis=1)
     diag = {"affine": True, "coplanar": coplanar.tolist(), "strict_side": strict.tolist()}
-    return bool(coplanar.all() and strict.all()), diag, V, vt[:, 3]
+    planes = vt[:, 3]
+    planes.flags.writeable = False
+    return bool(coplanar.all() and strict.all()), diag, V, planes
 
 
 def is_combinatorial_cube(vertices):

@@ -1,22 +1,22 @@
 """Fundamental-matrix estimators: classical 8-point, 7-point pencil
 machinery, and the cube-aware 8-point variant that survives the rank drop
 caused by combinatorial-cube inputs.
+
+The 7-point and cube-8-point estimators each have one core that runs a
+stack of N instances on whole arrays; their public forms are stacks of one.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import build_Z, kernel_basis
-from .exceptions import (
-    CoincidentCenters,
-    DegenerateCloud,
-    DegenerateInput,
-    DependentInputs,
-    IdenticallyZeroPencil,
-    NoRealRoot,
-)
+from . import pencil
+from .degeneracy import _kron_rows, _ranks, build_Z, kernel_basis
+from .exceptions import CoincidentCenters, DegenerateCloud, DegenerateInput, EpicubeError
 from .projective import (
+    _canon_rows,
+    _residuals,
     _unit_rows,
     as_points,
     canonical_fmatrix,
@@ -30,9 +30,7 @@ from .projective import (
 
 # The estimators the noise sweep compares and the CLI offers, in record order.
 ALGOS = ("8pt", "7pt", "cube8")
-# Root handling thresholds for the pencil cubic.
-REAL_ROOT_IMAG_TOL = 1e-8
-ROOT_DEDUP_TOL = 1e-8
+# Candidates within this of the least residual tie; the first of them wins.
 RESIDUAL_TIE_TOL = 1e-14
 
 
@@ -45,21 +43,28 @@ def hartley_normalize(pts):
     P = as_points(pts, 3)
     if len(P) < 2:
         raise ValueError("need at least 2 points")
-    aff = dehomogenize(P)
-    centroid = aff.mean(axis=0)
-    centered = aff - centroid
-    mean_dist = np.mean(np.linalg.norm(centered, axis=1))
-    if mean_dist < 1e-12 * (1.0 + np.linalg.norm(centroid)):
+    T, out, degenerate = _condition(dehomogenize(P)[None])
+    if degenerate[0]:
         raise DegenerateCloud("all points coincide")
-    s = np.sqrt(2.0) / mean_dist
-    T = np.array(
-        [
-            [s, 0.0, -s * centroid[0]],
-            [0.0, s, -s * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return T, homogenize(centered * s)
+    return T[0], out[0]
+
+
+def _condition(aff):
+    """hartley_normalize on an (N, n, 2) stack of affine points: (T, the
+    conditioned points, where all points coincide)."""
+    # np.mean and np.linalg.norm written as the reductions they run, without
+    # their per-call overhead.
+    n = aff.shape[1]
+    centroid = np.add.reduce(aff, axis=1) / n
+    centered = aff - centroid[:, None]
+    mean_dist = np.add.reduce(np.sqrt(np.add.reduce(centered * centered, axis=2)), axis=1) / n
+    degenerate = mean_dist < 1e-12 * (1.0 + np.sqrt(np.vecdot(centroid, centroid)))
+    s = math.sqrt(2.0) / np.where(degenerate, 1.0, mean_dist)
+    T = np.zeros((len(aff), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, 2, 2] = 1.0
+    return T, homogenize(centered * s[:, None, None]), degenerate
 
 
 def eight_point(X, Y):
@@ -113,100 +118,45 @@ class PencilSolution:
         the first candidate within RESIDUAL_TIE_TOL of the minimum wins.
         """
         residuals = epipolar_residual(np.array(self.candidates), X, Y)
-        best = int(np.argmax(residuals - residuals.min() < RESIDUAL_TIE_TOL))
+        best = int(_first_best(residuals))
         return self.candidates[best], float(residuals[best])
 
 
-def _members(alpha, F1, F2):
-    """The pencil members alpha*F1 + (1-alpha)*F2 for a 1-D array of alpha."""
-    a = alpha[:, None, None]
-    return a * F1 + (1.0 - a) * F2
+def _first_best(residuals):
+    """Index of the first residual within RESIDUAL_TIE_TOL of the least,
+    along the last axis."""
+    return (residuals - residuals.min(axis=-1, keepdims=True) < RESIDUAL_TIE_TOL).argmax(axis=-1)
+
+
+def _select(candidates, Xu, Yu):
+    """``PencilSolution.best`` of each instance of an (N, 3, 3, 3) NaN-padded
+    candidate stack, scored on the unit rows (Xu[i], Yu[i]): an (N, 3, 3)
+    stack, NaN where an instance has no candidate."""
+    n, k = (~np.isnan(candidates[:, :, 0, 0])).nonzero()
+    residuals = np.full(candidates.shape[:2], np.inf)
+    residuals[n, k] = _residuals(candidates[n, k], Xu[n], Yu[n])
+    with np.errstate(invalid="ignore"):
+        return candidates[np.arange(len(candidates)), _first_best(residuals)]
+
+
+def _one(core, *args):
+    """A stacked ``core`` on one instance; raises that instance's exception."""
+    failures = {}
+    out = core(*(np.asarray(a, dtype=float)[None] for a in args), failures)
+    if failures:
+        raise failures[0]
+    return out
+
+
+def _solution(roots, candidates):
+    """The PencilSolution of the first instance of a ``pencil.solve`` result."""
+    keep = ~np.isnan(roots[0])
+    return PencilSolution(roots[0][keep], list(candidates[0][keep]))
 
 
 def pencil_solve(F1, F2):
-    """Real roots of det(alpha*F1 + (1-alpha)*F2) = 0 plus their matrices.
-
-    The cubic is interpolated from one stacked determinant at four nodes and
-    solved through the companion-matrix eigenvalue route; near-multiple
-    roots are merged to their cluster mean, near-real roots kept.  All roots
-    are polished together, filtered to rank-2 members by one stacked SVD,
-    and deduplicated.
-    """
-    F1 = np.asarray(F1, dtype=float).reshape(3, 3)
-    F2 = np.asarray(F2, dtype=float).reshape(3, 3)
-    s = np.linalg.svd(np.vstack([F1.reshape(-1), F2.reshape(-1)]), compute_uv=False)
-    if s[1] <= 1e-12 * s[0]:
-        raise DependentInputs("pencil generators are linearly dependent")
-    nodes = np.array([0.0, 1.0, 2.0, -1.0])
-    vals = np.linalg.det(_members(nodes, F1, F2))
-    coeffs = np.linalg.solve(np.vander(nodes, 4), vals)
-    scale = (3.0 * max(np.linalg.norm(F1), np.linalg.norm(F2))) ** 3
-    if np.max(np.abs(vals)) <= 1e-12 * scale:
-        raise IdenticallyZeroPencil("every pencil member is singular")
-    # Drop numerically-zero leading coefficients, never the constant one.
-    small = np.abs(coeffs) <= 1e-12 * np.max(np.abs(coeffs))
-    small[-1] = False
-    alphas = []
-    for cluster in _root_clusters(np.roots(coeffs[np.argmin(small) :])):
-        mean = complex(np.mean(cluster))
-        # A near-multiple root's cluster mean is O(eps) accurate, while the
-        # individual companion-matrix roots are only O(eps^(1/m)).
-        if len(cluster) > 1 or abs(mean.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(mean.real)):
-            alphas.append(mean.real)
-    # Polish on sigma_min, then keep genuine rank-2 members only (a merged
-    # conjugate pair may polish to nothing).
-    alphas = np.sort(_polish_rank2_roots(alphas, F1, F2), kind="stable")
-    sv = np.linalg.svd(_members(alphas, F1, F2), compute_uv=False)
-    merged = []
-    for a in alphas[sv[:, 2] <= 1e-8 * sv[:, 0]]:
-        if not merged or abs(a - merged[-1]) > ROOT_DEDUP_TOL:
-            merged.append(a)
-    if not merged:
-        raise NoRealRoot("pencil determinant has no real root")
-    roots = np.array(merged)
-    return PencilSolution(roots, [canonical_fmatrix(M) for M in _members(roots, F1, F2)])
-
-
-def _root_clusters(roots):
-    """Greedy partition of polynomial roots into near-multiple clusters."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        r = remaining.pop(0)
-        group = [r]
-        keep = []
-        for q in remaining:
-            if abs(q - r) <= 1e-2 * (1.0 + abs(q) + abs(r)):
-                group.append(q)
-            else:
-                keep.append(q)
-        remaining = keep
-        clusters.append(group)
-    return clusters
-
-
-def _polish_rank2_roots(alphas, F1, F2):
-    """Newton refinement of det(a*F1 + (1-a)*F2) = 0 on sigma_min, for all
-    roots at once; each root stops at its first failed test.
-
-    d sigma_min / d alpha = u3^T (F1 - F2) v3 for the smallest singular
-    pair (u3, v3); one step is exact in the V-shaped multiple-root case.
-    """
-    D = F1 - F2
-    alpha = np.array(alphas, dtype=float)
-    live = np.arange(len(alpha))
-    for _ in range(8):
-        if not len(live):
-            break
-        a = alpha[live]
-        U, s, Vt = np.linalg.svd(_members(a, F1, F2))
-        slope = np.vecdot(U[:, :, 2] @ D, Vt[:, 2])
-        ok = (s[:, 2] > 1e-15 * s[:, 0]) & (np.abs(slope) > 1e-14 * np.maximum(1.0, s[:, 0]))
-        step = s[:, 2] / np.where(ok, slope, 1.0)
-        ok &= np.abs(step) <= 1.0 + np.abs(a)
-        alpha[live[ok]] = a[ok] - step[ok]
-        live = live[ok]
-    return alpha
+    """Real roots of det(alpha*F1 + (1-alpha)*F2) = 0 plus their matrices."""
+    return _solution(*_one(pencil.solve, [np.reshape(F1, 9), np.reshape(F2, 9)]))
 
 
 def seven_point(X, Y):
@@ -215,10 +165,16 @@ def seven_point(X, Y):
     Y = as_points(Y, 3)
     if len(X) != 7 or len(Y) != 7:
         raise ValueError("the 7-point algorithm needs exactly 7 correspondences")
-    basis = kernel_basis(build_Z(X, Y))
-    if len(basis) != 2:
-        raise DegenerateInput(len(basis))
-    return pencil_solve(basis[0].reshape(3, 3), basis[1].reshape(3, 3))
+    return _solution(*_one(_seven_point, X, Y))
+
+
+def _seven_point(X, Y, failures):
+    """seven_point on (N, 7, 3) stacks of checked points, as ``pencil.solve``."""
+    _, s, Vt = np.linalg.svd(_kron_rows(X, Y))
+    dim = 9 - _ranks(s)
+    for n in (dim != 2).nonzero()[0].tolist():
+        failures[n] = DegenerateInput(int(dim[n]))
+    return pencil.solve(Vt[:, 7:], failures)
 
 
 def eckart_young_rank7(Z):
@@ -241,18 +197,54 @@ def cube_eight_point(X, Y):
     Y = as_points(Y, 3)
     if len(X) != 8 or len(Y) != 8:
         raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
-    if np.all(np.abs(_unit_rows(np.vstack([X, Y]))[:, 2]) > 1e-12):
-        TX, Xn = hartley_normalize(X)
-        TY, Yn = hartley_normalize(Y)
-    else:
-        TX = TY = np.eye(3)
-        Xn, Yn = X, Y
+    return _one(_cube_eight_point, X, Y)[0]
+
+
+def _cube_eight_point(X, Y, failures):
+    """cube_eight_point on (N, 8, 3) stacks of checked points: an (N, 3, 3)
+    stack, NaN where an instance raises."""
+    N = len(X)
+    P = np.concatenate([X[:, None], Y[:, None]], axis=1)
+    U = _unit_rows(P)
+    affine = (np.abs(U[..., 2]) > 1e-12).all(axis=(1, 2))
+    # Every instance is conditioned; one with a point at infinity then takes
+    # its images as given.
+    with np.errstate(all="ignore"):
+        T, Pn, degenerate = _condition((P[..., :2] / P[..., 2:]).reshape(-1, 8, 2))
+    T, Pn = T.reshape(N, 2, 3, 3), Pn.reshape(P.shape)
+    if not affine.all():
+        T = np.where(affine[:, None, None, None], T, np.eye(3))
+        Pn = np.where(affine[:, None, None, None], Pn, P)
+    for n in (affine & degenerate.reshape(N, 2).any(axis=1)).nonzero()[0].tolist():
+        failures[n] = DegenerateCloud("all points coincide")
     # The rank-7 truncation of Z keeps its right singular vectors, so its
     # kernel is spanned by the last two of them.
-    _, _, Vt = np.linalg.svd(build_Z(Xn, Yn))
-    sol = pencil_solve(Vt[7].reshape(3, 3), Vt[8].reshape(3, 3))
-    sol.candidates = [canonical_fmatrix(F) for F in TY.T @ np.array(sol.candidates) @ TX]
-    return sol.best(X, Y)[0]
+    _, _, Vt = np.linalg.svd(_kron_rows(Pn[:, 0], Pn[:, 1]))
+    roots, candidates = pencil.solve(Vt[:, 7:], failures)
+    n, k = (~np.isnan(roots)).nonzero()
+    candidates[n, k] = _canon_rows(T[n, 1].transpose(0, 2, 1) @ candidates[n, k] @ T[n, 0])
+    return _select(candidates, U[:, 0], U[:, 1])
+
+
+def _estimate_all(algo, X, Y):
+    """``_estimate`` on (N, n, 3) stacks of checked points: an (N, 3, 3)
+    stack, NaN where an instance raises, and each raising instance's
+    exception by index.  "8pt" is one ``eight_point`` call per instance."""
+    N, failures = len(X), {}
+    if algo == "8pt":
+        F = np.full((N, 3, 3), np.nan)
+        for i in range(N):
+            try:
+                F[i] = eight_point(X[i], Y[i])
+            except EpicubeError as exc:
+                failures[i] = exc
+    elif algo == "7pt":
+        F = _select(_seven_point(X[:, :7], Y[:, :7], failures)[1], _unit_rows(X), _unit_rows(Y))
+    elif algo == "cube8":
+        F = _cube_eight_point(X, Y, failures)
+    else:
+        raise ValueError(f"unknown estimator {algo!r}")
+    return F, failures
 
 
 def _estimate(algo, X, Y):

@@ -7,6 +7,8 @@ the focal point is finite. Fundamental matrices are 3x3 matrices up to
 scale, rank <= 2 when valid.
 """
 
+import math
+
 import numpy as np
 
 from .exceptions import (
@@ -41,29 +43,35 @@ def as_points(pts, dim):
     return arr
 
 
-def _unit(v):
-    """v over its norm.  Where the norm would under- or overflow, v is first
-    scaled by a power of two, which is exact, so no ordinary input changes."""
+def _unit(V):
+    """Rows of the (k, d) array V over their norms.  Where a norm would under-
+    or overflow, the row is first scaled by a power of two, which is exact,
+    so no ordinary input changes."""
     with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(v)
-    if not 1e-150 < nrm < 1e150:
-        if not np.isfinite(v).all():
+        # sqrt(v . v) is what np.linalg.norm computes for one vector.
+        nrm = np.sqrt(np.vecdot(V, V))
+    if not (nrm.min(initial=1.0) > 1e-150 and nrm.max(initial=1.0) < 1e150):
+        odd = ~((nrm > 1e-150) & (nrm < 1e150))
+        if not np.isfinite(V[odd]).all():
             raise ValueError("entries must be finite")
-        if not v.any():
+        if not V[odd].any(axis=1).all():
             raise ZeroMatrix("the zero vector has no direction")
-        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
-        nrm = np.linalg.norm(v)
-    return v / nrm
+        V = V.copy()
+        V[odd] = np.ldexp(V[odd], -np.frexp(np.abs(V[odd]).max(axis=1))[1][:, None])
+        nrm[odd] = np.sqrt(np.vecdot(V[odd], V[odd]))
+    return V / nrm[:, None]
+
+
+def _canon_rows(V):
+    """``canon`` of each V[i] of a stack."""
+    out = _unit(V.reshape(len(V), math.prod(V.shape[1:])))
+    lead = out[np.arange(len(out)), (np.abs(out) > 1e-12).argmax(axis=1)]
+    return (out * np.sign(lead)[:, None]).reshape(V.shape)
 
 
 def canon(v):
     """Canonical projective representative: unit norm, first nonzero entry > 0."""
-    out = _unit(np.asarray(v, dtype=float))
-    flat = out.reshape(-1)
-    lead = flat[np.abs(flat) > 1e-12][0]
-    if lead < 0:
-        out = -out
-    return out
+    return _canon_rows(np.asarray(v, dtype=float)[None])[0]
 
 
 def proj_equal(a, b, tol=1e-9):
@@ -72,10 +80,11 @@ def proj_equal(a, b, tol=1e-9):
 
 
 def _unit_rows(P):
-    """Rows of P at unit norm; each is divided by its largest |coordinate|
-    first, so the norm can neither underflow nor overflow."""
-    P = P / np.abs(P).max(axis=1)[:, None]
-    return P / np.linalg.norm(P, axis=1)[:, None]
+    """Rows (last axis) of P at unit norm; each is divided by its largest
+    |coordinate| first, so the norm can neither underflow nor overflow."""
+    P = P / np.abs(P).max(axis=-1, keepdims=True)
+    # np.linalg.norm(P, axis=-1) without its per-call overhead.
+    return P / np.sqrt(np.add.reduce(P * P, axis=-1, keepdims=True))
 
 
 def dehomogenize(pts):
@@ -87,9 +96,9 @@ def dehomogenize(pts):
 
 
 def homogenize(pts):
-    """(n, d) affine points -> (n, d+1) homogeneous points with last coord 1."""
+    """(..., n, d) affine points -> (..., n, d+1) homogeneous points with last coord 1."""
     arr = np.atleast_2d(np.asarray(pts, dtype=float))
-    return np.hstack([arr, np.ones((arr.shape[0], 1))])
+    return np.concatenate([arr, np.ones(arr.shape[:-1] + (1,))], axis=-1)
 
 
 def project(camera, p):
@@ -110,10 +119,19 @@ def project_all(camera, P):
     # einsum matches A @ p bit for bit; P @ A.T does not, and its last-bit
     # changes can flip residual ties between candidates.
     img = np.einsum("ij,nj->ni", A, P)
-    # Test on A at max |entry| 1 and unit rows of P: no norm under- or overflows.
-    A = A / (np.abs(A).max() or 1.0)
-    unit_img = np.einsum("ij,nj->ni", A, _unit_rows(P))
-    if np.any(np.linalg.norm(unit_img, axis=1) <= 1e-12 * np.linalg.norm(A)):
+    with np.errstate(over="ignore", under="ignore"):
+        a = np.linalg.norm(A)
+        p = np.linalg.norm(P, axis=1)
+        bound = 1e-12 * a * p
+        # |A p| <= 1e-12 |A| |p| on the unscaled product, wherever no norm
+        # can under- or overflow; elsewhere on A at max |entry| 1 and unit
+        # rows of P.
+        if 1e-150 < a < 1e150 and ((p > 1e-150) & (p < 1e150) & (bound > 1e-150)).all():
+            centre = np.linalg.norm(img, axis=1) <= bound
+        else:
+            A = A / (np.abs(A).max() or 1.0)
+            centre = np.linalg.norm(np.einsum("ij,nj->ni", A, _unit_rows(P)), axis=1) <= 1e-12 * np.linalg.norm(A)
+    if centre.any():
         raise FocalPointProjection("point projects to the zero vector")
     return img
 
@@ -144,22 +162,35 @@ def epipolar_residual(F, X, Y):
     before evaluating the bilinear forms.
     """
     F = np.asarray(F, dtype=float)
-    Fn = np.array([canonical_fmatrix(G) for G in (F if F.ndim == 3 else [F])])
     X = as_points(X, 3)
     Y = as_points(Y, 3)
     if len(X) != len(Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
     if len(X) < 1:
         raise ValueError("need at least one correspondence")
-    r = np.einsum("ij,kjl,il->ki", _unit_rows(Y), Fn, _unit_rows(X))
-    return np.sum(r**2, axis=1) if F.ndim == 3 else float(np.sum(r[0] ** 2))
+    r = _residuals(F if F.ndim == 3 else F[None], _unit_rows(X), _unit_rows(Y))
+    return r if F.ndim == 3 else float(r[0])
+
+
+def _residuals(F, Xu, Yu):
+    """epipolar_residual of a (k, 3, 3) stack on the unit rows of (n, 3)
+    points, or of (k, n, 3) stacks paired with the matrices."""
+    r = np.einsum("...ij,...jl,...il->...i", Yu, _canon_rows(F), Xu)
+    return np.add.reduce(r * r, axis=-1)
+
+
+def _angles(U, V):
+    """grassmann_angle between the rows of two (k, d) arrays."""
+    u, v = _unit(U), _unit(V)
+    d = np.vecdot(u, v)
+    w = v - d[:, None] * u
+    # arctan2 formulation of arccos(|d|): exact near 0 where arccos
+    # saturates at sqrt(eps).
+    return np.arctan2(np.sqrt(np.vecdot(w, w)), np.abs(d))
 
 
 def grassmann_angle(F1, F2):
     """Angle in [0, pi/2] between the vectorizations of two matrices."""
-    u = _unit(np.asarray(F1, dtype=float).reshape(-1))
-    v = _unit(np.asarray(F2, dtype=float).reshape(-1))
-    d = float(u @ v)
-    # arctan2 formulation of arccos(|d|): exact near 0 where arccos
-    # saturates at sqrt(eps).
-    return float(np.arctan2(np.linalg.norm(v - d * u), abs(d)))
+    u = np.asarray(F1, dtype=float).reshape(1, -1)
+    v = np.asarray(F2, dtype=float).reshape(1, -1)
+    return float(_angles(u, v)[0])

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import random_combinatorial_cube
-from .estimators import ALGOS, _estimate, fundamental_from_cameras
+from .estimators import ALGOS, _estimate_all, fundamental_from_cameras
 from .exceptions import EpicubeError, ExhaustedRetries
 from .quadrics import NONRULED_NONDEGENERATE, classify, cube_quadric
 from .projective import (
+    _angles,
+    _residuals,
+    _unit_rows,
     as_points,
     dehomogenize,
-    epipolar_residual,
     focal_point,
-    grassmann_angle,
     homogenize,
     project_all,
 )
@@ -72,13 +73,14 @@ def look_at_camera(f):
     """Camera [R | -R f] at affine center f, principal axis toward origin."""
     f = np.asarray(f, dtype=float).reshape(3)
     z = -f / np.linalg.norm(f)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(z @ up) > 0.99:
-        up = np.array([0.0, 1.0, 0.0])
-    x = np.cross(up, z)
-    x /= np.linalg.norm(x)
-    y = np.cross(z, x)
-    R = np.vstack([x, y, z])
+    z0, z1, z2 = z.tolist()
+    u0, u1, u2 = (0.0, 1.0, 0.0) if abs(z2) > 0.99 else (0.0, 0.0, 1.0)
+    # up x z and z x x written out as np.cross computes them, each product
+    # rounded on its own: np.cross costs about 20 us per call.
+    x = np.array([u1 * z2 - u2 * z1, u2 * z0 - u0 * z2, u0 * z1 - u1 * z0])
+    x /= math.sqrt(x.dot(x))
+    x0, x1, x2 = x.tolist()
+    R = np.array([x, [z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0], z])
     return np.hstack([R, (-R @ f)[:, None]])
 
 
@@ -128,17 +130,11 @@ def _seed_of(seq):
     return int(seq.generate_state(1)[0])
 
 
-def run_trial(cfg, trial_idx):
-    """One trial at every noise level of cfg; returns a record per
-    algorithm and level, level by level.
-
-    The geometry is built once; each level adds its own scaling of the same
-    noise draw.
-    """
+def _geometry(cfg, trial_idx):
+    """A trial's well-posed geometry: (cube_seed, cam_seed, noise stream,
+    F_true, X, Y)."""
     geo = np.random.SeedSequence([cfg.seed, trial_idx])
     cube_ss, cam_ss, noise_ss = geo.spawn(3)
-    cube_seed, cam_seed = _seed_of(cube_ss), _seed_of(cam_ss)
-
     cube_rng = np.random.default_rng(cube_ss)
     cam_rng = np.random.default_rng(cam_ss)
     cube = random_combinatorial_cube(cube_rng)
@@ -161,49 +157,66 @@ def run_trial(cfg, trial_idx):
     F_true = fundamental_from_cameras(A1, A2)
     X = project_all(A1, cube.vertices)
     Y = project_all(A2, cube.vertices)
+    return _seed_of(cube_ss), _seed_of(cam_ss), noise_ss, F_true, X, Y
 
+
+def _run(cfg, trials):
+    """Records of the trials at every level of cfg: level by level, trial by
+    trial within a level, one record per algorithm.
+
+    Every trial's geometry comes first; each level then adds its own scaling
+    of the trial's one noise draw.  Each estimator runs once over the stack
+    of all levels x trials, and the records are scored in one pass.
+    """
+    geos = [_geometry(cfg, t) for t in trials]
+    X, Y = [], []
+    for sigma in cfg.noise_levels:
+        for _, _, noise_ss, _, X0, Y0 in geos:
+            # A fresh generator per level: every level scales the same draw.
+            noise_rng = np.random.default_rng(noise_ss)
+            X.append(add_noise(X0, sigma, noise_rng))
+            Y.append(add_noise(Y0, sigma, noise_rng))
+    X, Y = np.array(X), np.array(Y)
+    F_true = np.array([g[3] for g in geos] * len(cfg.noise_levels))
+    # (instance, algorithm) in record order.
+    F = np.empty((len(X), len(ALGOS), 3, 3))
+    failed = np.zeros((len(X), len(ALGOS)), dtype=bool)
+    for k, algo in enumerate(ALGOS):
+        F[:, k], failures = _estimate_all(algo, X, Y)
+        failed[list(failures), k] = True
+    inst, algo = np.nonzero(~failed)
+    angle, resid = np.zeros(failed.shape), np.zeros(failed.shape)
+    angle[inst, algo] = _angles(F[inst, algo].reshape(-1, 9), F_true[inst].reshape(-1, 9))
+    resid[inst, algo] = _residuals(F[inst, algo], _unit_rows(X[inst]), _unit_rows(Y[inst]))
+    scores = zip(angle.tolist(), resid.tolist(), failed.tolist())
     records = []
     for sigma in cfg.noise_levels:
         noise = float(sigma)
-        # A fresh generator per level: every level scales the same draw.
-        noise_rng = np.random.default_rng(noise_ss)
-        Xn = add_noise(X, sigma, noise_rng)
-        Yn = add_noise(Y, sigma, noise_rng)
-        for algo in ALGOS:
-            try:
-                F = _estimate(algo, Xn, Yn)
-            except EpicubeError:
-                angle, resid, failed = FAILED_ANGLE, float("nan"), True
-            else:
-                angle, resid, failed = grassmann_angle(F, F_true), epipolar_residual(F, Xn, Yn), False
-            records.append(
-                TrialRecord(
-                    trial=trial_idx,
-                    noise=noise,
-                    algo=algo,
-                    angle_rad=float(angle),
-                    residual=resid,
-                    failed=failed,
-                    cube_seed=cube_seed,
-                    cam_seed=cam_seed,
-                )
-            )
+        for t, (cube_seed, cam_seed, *_) in zip(trials, geos):
+            for algo, a, r, fail in zip(ALGOS, *next(scores)):
+                a, r = (FAILED_ANGLE, math.nan) if fail else (a, r)
+                records.append(TrialRecord(t, noise, algo, a, r, fail, cube_seed, cam_seed))
     return records
+
+
+def run_trial(cfg, trial_idx):
+    """One trial at every noise level of cfg; returns a record per
+    algorithm and level, level by level.
+
+    The geometry is built once; each level adds its own scaling of the same
+    noise draw.
+    """
+    return _run(cfg, [trial_idx])
 
 
 def run_noise_sweep(cfg):
     """Full sweep: cfg.trials per noise level, three algorithms each.
 
-    Records come level by level, trial by trial within a level.
+    Records come level by level, trial by trial within a level.  Every
+    trial's geometry is built first, then each estimator runs once over
+    all levels x trials.
     """
-    per_trial = [run_trial(cfg, trial_idx) for trial_idx in range(cfg.trials)]
-    n = len(ALGOS)
-    return [
-        r
-        for lv in range(len(cfg.noise_levels))
-        for records in per_trial
-        for r in records[lv * n : (lv + 1) * n]
-    ]
+    return _run(cfg, range(cfg.trials))
 
 
 CSV_HEADER = ("trial", "noise", "algo", "angle_rad", "residual", "failed", "cube_seed", "cam_seed")

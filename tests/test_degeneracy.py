@@ -156,6 +156,21 @@ class TestCombinatorialCube:
         with pytest.raises(FrozenInstanceError):
             cube.vertices = np.random.default_rng(0).uniform(-1, 1, (8, 4))
 
+    def test_keeps_a_copy_of_the_vertices(self):
+        # Editing the caller's array afterwards leaves the checked cube, and
+        # its planes, as they were.
+        V = UNIT_CUBE_VERTICES.copy()
+        cube = CubeConfig(V)
+        V[0, 0] = 0.3
+        assert np.array_equal(cube.vertices, UNIT_CUBE_VERTICES)
+        assert np.array_equal(cube.planes, unit_cube().planes)
+
+    def test_arrays_are_read_only(self):
+        cube = unit_cube()
+        for arr in (cube.vertices, cube.planes):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.3
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e170, 1e300])
     def test_extreme_scales(self, scale):
         ok, diag = is_combinatorial_cube(UNIT_CUBE_VERTICES * scale)

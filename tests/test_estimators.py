@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from epicube.degeneracy import build_Z, kernel_basis, random_combinatorial_cube
 from epicube.estimators import (
-    REAL_ROOT_IMAG_TOL,
+    ALGOS,
     RESIDUAL_TIE_TOL,
-    ROOT_DEDUP_TOL,
     PencilSolution,
-    _root_clusters,
+    _estimate,
+    _estimate_all,
+    _first_best,
+    _select,
     cube_eight_point,
     eckart_young_rank7,
     eight_point,
@@ -18,6 +20,7 @@ from epicube.estimators import (
     pencil_solve,
     seven_point,
 )
+from epicube.pencil import REAL_ROOT_IMAG_TOL, ROOT_DEDUP_TOL, distinct, real_roots, solve
 from epicube.exceptions import (
     CoincidentCenters,
     DegenerateCloud,
@@ -71,6 +74,24 @@ def nonruled_pool():
 # same roots, candidates, choice and exceptions bit for bit.
 
 
+def _root_clusters(roots):
+    """Greedy partition of polynomial roots into near-multiple clusters."""
+    remaining = list(roots)
+    clusters = []
+    while remaining:
+        r = remaining.pop(0)
+        group = [r]
+        keep = []
+        for q in remaining:
+            if abs(q - r) <= 1e-2 * (1.0 + abs(q) + abs(r)):
+                group.append(q)
+            else:
+                keep.append(q)
+        remaining = keep
+        clusters.append(group)
+    return clusters
+
+
 def reference_residual(F, X, Y):
     Fn = canonical_fmatrix(F)
     X = as_points(X, 3)
@@ -113,17 +134,7 @@ def reference_polish(alpha, F1, F2):
     return alpha
 
 
-def reference_pencil_solve(F1, F2):
-    F1 = np.asarray(F1, dtype=float).reshape(3, 3)
-    F2 = np.asarray(F2, dtype=float).reshape(3, 3)
-    stack = np.vstack([F1.reshape(-1), F2.reshape(-1)])
-    s = np.linalg.svd(stack, compute_uv=False)
-    if s[1] <= 1e-12 * s[0]:
-        raise DependentInputs("pencil generators are linearly dependent")
-    coeffs, vals = reference_cubic_coeffs(F1, F2)
-    scale = (3.0 * max(np.linalg.norm(F1), np.linalg.norm(F2))) ** 3
-    if np.max(np.abs(vals)) <= 1e-12 * scale:
-        raise IdenticallyZeroPencil("every pencil member is singular")
+def reference_alphas(coeffs):
     cmax = np.max(np.abs(coeffs))
     trimmed = np.array(coeffs)
     while len(trimmed) > 1 and abs(trimmed[0]) <= 1e-12 * cmax:
@@ -136,14 +147,36 @@ def reference_pencil_solve(F1, F2):
             candidates_alpha.append(mean.real)
         elif abs(mean.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(mean.real)):
             candidates_alpha.append(mean.real)
+    return candidates_alpha
+
+
+def reference_dedup(alphas):
     merged = []
-    for a in sorted(reference_polish(a, F1, F2) for a in candidates_alpha):
+    for a in alphas:
+        if not merged or abs(a - merged[-1]) > ROOT_DEDUP_TOL:
+            merged.append(a)
+    return merged
+
+
+def reference_pencil_solve(F1, F2):
+    F1 = np.asarray(F1, dtype=float).reshape(3, 3)
+    F2 = np.asarray(F2, dtype=float).reshape(3, 3)
+    stack = np.vstack([F1.reshape(-1), F2.reshape(-1)])
+    s = np.linalg.svd(stack, compute_uv=False)
+    if s[1] <= 1e-12 * s[0]:
+        raise DependentInputs("pencil generators are linearly dependent")
+    coeffs, vals = reference_cubic_coeffs(F1, F2)
+    scale = (3.0 * max(np.linalg.norm(F1), np.linalg.norm(F2))) ** 3
+    if np.max(np.abs(vals)) <= 1e-12 * scale:
+        raise IdenticallyZeroPencil("every pencil member is singular")
+    merged = []
+    for a in sorted(reference_polish(a, F1, F2) for a in reference_alphas(coeffs)):
         M = a * F1 + (1.0 - a) * F2
         sv = np.linalg.svd(M, compute_uv=False)
         if sv[2] > 1e-8 * sv[0]:
             continue
-        if not merged or abs(a - merged[-1]) > ROOT_DEDUP_TOL:
-            merged.append(a)
+        merged.append(a)
+    merged = reference_dedup(merged)
     if not merged:
         raise NoRealRoot("pencil determinant has no real root")
     candidates = [canonical_fmatrix(a * F1 + (1.0 - a) * F2) for a in merged]
@@ -229,6 +262,158 @@ class TestStackedPencilMatchesScalar:
         assert type(epipolar_residual(stack[0], X, Y)) is float
         with pytest.raises(ValueError):
             epipolar_residual(rng.standard_normal((3, 3, 4)), X, Y)
+
+
+def special_pencils():
+    """Generator pairs that reach every branch of the pencil solve: generic,
+    rank-2 and near-dependent pairs, a cubic with a zero constant term, a
+    trimmed cubic with no real root, dependent generators, an identically
+    singular pencil, and the triple root of the standard instance."""
+    rng = np.random.default_rng(7)
+    pairs = [tuple(rng.standard_normal((2, 3, 3))) for _ in range(12)]
+    U, s, Vt = np.linalg.svd(pairs[0][0])
+    pairs.append(((U * [s[0], s[1], 0.0]) @ Vt, pairs[1][1]))
+    pairs.append((pairs[2][0], pairs[2][0] + 1e-7 * pairs[2][1]))
+    F2 = pairs[3][1].copy()
+    F2[2] = 0.0
+    pairs.append((pairs[3][0], F2))
+    rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    pairs.append((np.eye(3), rotation))
+    pairs.append((pairs[4][0], -3.0 * pairs[4][0]))
+    E = np.zeros((2, 3, 3))
+    E[0, 0, 0] = E[1, 0, 1] = 1.0
+    pairs.append(tuple(E))
+    return pairs
+
+
+class TestStackedCore:
+    def test_pencil_stack_equals_one_by_one(self, standard_instance):
+        basis = kernel_basis(build_Z(standard_instance["X"], standard_instance["Y"]))
+        pairs = special_pencils() + [(basis[0].reshape(3, 3), basis[1].reshape(3, 3))]
+        coeffs = [reference_cubic_coeffs(F1, F2)[0] for F1, F2 in pairs]
+        assert any(c[-1] == 0.0 for c in coeffs)
+        assert any(abs(c[0]) <= 1e-12 * np.abs(c).max() for c in coeffs)
+        failures = {}
+        roots, candidates = solve(np.array([[F1.reshape(9), F2.reshape(9)] for F1, F2 in pairs]), failures)
+        for i, (F1, F2) in enumerate(pairs):
+            keep = ~np.isnan(roots[i])
+            try:
+                sol = pencil_solve(F1, F2)
+            except EpicubeError as exc:
+                assert type(failures[i]) is type(exc)
+                assert not keep.any()
+                continue
+            assert i not in failures
+            assert np.array_equal(roots[i, keep], sol.roots)
+            assert np.array_equal(candidates[i, keep], np.array(sol.candidates))
+        assert {type(e) for e in failures.values()} == {DependentInputs, IdenticallyZeroPencil, NoRealRoot}
+
+    def test_cluster_means_match_np_mean(self):
+        # Cubics with near-multiple roots, real and complex, chained and
+        # well-separated ones, a trimmed leading coefficient and a zero
+        # constant term: the stacked clusters give the greedy clusters and
+        # np.mean's cluster means bit for bit.
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(400):
+            c = rng.standard_normal() * 3
+            eps = 10.0 ** rng.uniform(-9, -3)
+            d = eps * (rng.standard_normal() + 1j * rng.standard_normal())
+            # A chain: the middle root is near both ends, the ends are not.
+            h = 0.008 * (1.0 + 2.0 * abs(c))
+            for roots in (
+                [c, c + d, c + np.conj(d)],
+                [c, c + eps, c - 2 * eps],
+                [c, c + eps, c + 1.0],
+                [c, c + h, c + 2 * h],
+                rng.standard_normal(3),
+            ):
+                rows.append(np.real(np.poly(roots)) * rng.uniform(0.5, 2.0))
+        rows += [[1e-20, 1.0, 0.0, 1.0], [1.0, -3.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        coeffs = np.array(rows)
+        alphas = real_roots(coeffs)
+        for i, c in enumerate(coeffs):
+            assert np.array_equal(alphas[i][~np.isnan(alphas[i])], reference_alphas(c))
+
+    def test_distinct_keeps_roots_apart_from_the_last_kept(self):
+        # A chain of roots each within the tolerance of the previous one
+        # keeps every other one: the comparison is with the last kept root,
+        # across the NaN holes the rank-2 filter leaves.
+        rng = np.random.default_rng(6)
+        roots = np.sort(1.0 + ROOT_DEDUP_TOL * rng.uniform(0.0, 2.5, (300, 3)), axis=1)
+        roots[rng.uniform(size=roots.shape) < 0.2] = np.nan
+        roots = np.vstack([roots, 1.0 + ROOT_DEDUP_TOL * np.array([0.0, 0.7, 1.4])])
+        kept = distinct(roots)
+        for row, out in zip(roots, kept):
+            assert out[~np.isnan(out)].tolist() == reference_dedup(row[~np.isnan(row)].tolist())
+        assert np.isnan(kept[-1]).tolist() == [False, True, False]
+
+    def test_first_best_takes_the_first_near_tie(self):
+        # Within RESIDUAL_TIE_TOL of the least residual the lower index wins,
+        # even over a strictly smaller residual.
+        residuals = np.array([[3e-14, 2.5e-14, 1e-14], [5.0, 1.0 + 4e-15, 1.0], [2.0, np.inf, np.inf]])
+        assert _first_best(residuals).tolist() == [2, 1, 0]
+        assert _first_best(residuals[1]) == 1
+
+    def test_select_keeps_the_tie_rule(self, rng):
+        # Each instance's near-tie between a candidate and its 1e-15
+        # perturbation goes to the first, as PencilSolution.best has it.
+        X, Y = rng.standard_normal((2, 8, 3))
+        G = np.array([canonical_fmatrix(M) for M in rng.standard_normal((40, 3, 3))])
+        H = np.array([canonical_fmatrix(M) for M in G + 1e-15 * rng.standard_normal((40, 3, 3))])
+        stack = np.stack([G, H, np.roll(G, 1, axis=0)], axis=1)
+        Xs, Ys = np.tile(X, (40, 1, 1)), np.tile(Y, (40, 1, 1))
+        F = _select(stack, _unit_rows(Xs), _unit_rows(Ys))
+        for row, f in zip(stack, F):
+            assert np.array_equal(f, PencilSolution(np.zeros(3), list(row)).best(X, Y)[0])
+        assert (epipolar_residual(H, X, Y) < epipolar_residual(G, X, Y)).any()
+
+    @pytest.fixture
+    def mixed_pool(self, nonruled_pool, standard_instance):
+        """(N, 8, 3) image stacks: noise-free and noisy cube images, a
+        generic scene, the standard instance (a point at infinity, so cube8
+        runs unconditioned), coincident points in the first image, collinear
+        ones (every member of cube8's pencil has rank 1), and a repeated
+        correspondence among the first seven."""
+        rng = np.random.default_rng(99)
+        X, Y = [], []
+        for Xc, Yc, _ in nonruled_pool:
+            for sigma in (0.0, 0.02, 0.1):
+                X.append(add_noise(Xc, sigma, rng))
+                Y.append(add_noise(Yc, sigma, rng))
+        Xg, Yg, _ = generic_scene(rng)
+        repeat = [0, 1, 2, 2, 4, 5, 6, 7]
+        t = rng.uniform(-1.0, 1.0, 8)
+        collinear = homogenize(np.stack([t, 0.5 * t + 0.2], axis=1))
+        X += [Xg, standard_instance["X"], np.tile([1.0, 2.0, 1.0], (8, 1)), collinear, Xg[repeat]]
+        Y += [Yg, standard_instance["Y"], Yg, Yg, Yg[repeat]]
+        return np.array(X), np.array(Y)
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_estimator_stack_equals_one_by_one(self, algo, mixed_pool):
+        # One raising instance changes no other instance's output.
+        X, Y = mixed_pool
+        F, failures = _estimate_all(algo, X, Y)
+        for i in range(len(X)):
+            try:
+                G = _estimate(algo, X[i], Y[i])
+            except EpicubeError as exc:
+                assert type(failures[i]) is type(exc)
+                assert np.isnan(F[i]).all()
+            else:
+                assert i not in failures
+                assert np.array_equal(F[i], G)
+        expected = {
+            "8pt": {DegenerateInput},
+            "7pt": {DegenerateInput},
+            "cube8": {DegenerateCloud, IdenticallyZeroPencil},
+        }
+        assert {type(e) for e in failures.values()} == expected[algo]
+
+    def test_mixed_pool_reaches_the_unconditioned_path(self, mixed_pool):
+        X, Y = mixed_pool
+        w = _unit_rows(np.concatenate([X, Y], axis=1))[..., 2]
+        assert (np.abs(w) <= 1e-12).any(axis=1).sum() == 1
 
 
 class TestHartleyNormalize:

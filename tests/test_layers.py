@@ -11,7 +11,7 @@ import epicube
 TIERS = (
     ("exceptions",),
     ("projective",),
-    ("degeneracy",),
+    ("degeneracy", "pencil"),
     ("exact", "estimators", "quadrics"),
     ("simulate",),
     ("cli",),

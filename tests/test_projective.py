@@ -120,6 +120,20 @@ class TestCamera:
             with pytest.raises(FocalPointProjection):
                 project_all(cam, np.vstack([P, c]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+    @pytest.mark.parametrize("offset, raises", [(1e-14, True), (1e-9, False)])
+    def test_centre_tolerance_at_every_scale(self, standard_instance, scale, offset, raises):
+        # |A p| <= 1e-12 |A| |p| decides, whether the product is tested as it
+        # is (scale 1) or on rescaled rows (the extreme scales).
+        A = np.array(standard_instance["A1"], dtype=float)
+        p = (focal_point(A) + offset * np.array([1.0, 0.0, 0.0, 0.0])) * scale
+        P = np.vstack([standard_instance["cube"], p])
+        if raises:
+            with pytest.raises(FocalPointProjection):
+                project_all(A, P)
+        else:
+            assert np.array_equal(project_all(A, P), np.einsum("ij,nj->ni", A, P))
+
     def test_focal_point_in_kernel(self, standard_instance):
         for A in (standard_instance["A1"], standard_instance["A2"]):
             c = focal_point(A)

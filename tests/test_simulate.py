@@ -41,6 +41,27 @@ class TestLookAtCamera:
         R = A[:, :3]
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
 
+    def test_matches_np_cross_bit_for_bit(self, rng):
+        # The written-out cross products round each product on its own, as
+        # np.cross does, on both choices of the up vector.
+        def reference(f):
+            f = np.asarray(f, dtype=float)
+            z = -f / np.linalg.norm(f)
+            up = np.array([0.0, 0.0, 1.0])
+            if abs(z @ up) > 0.99:
+                up = np.array([0.0, 1.0, 0.0])
+            x = np.cross(up, z)
+            x /= np.linalg.norm(x)
+            R = np.vstack([x, np.cross(z, x), z])
+            return np.hstack([R, (-R @ f)[:, None]])
+
+        centres = np.vstack([rng.standard_normal((500, 3)), rng.uniform(-0.1, 0.1, (200, 3)) + [0.0, 0.0, 6.0]])
+        centres[-100:, 2] *= -1.0
+        switched = np.abs(centres[:, 2]) / np.linalg.norm(centres, axis=1) > 0.99
+        assert 100 < switched.sum() < len(centres)
+        for f in centres:
+            assert np.array_equal(look_at_camera(f), reference(f))
+
 
 class TestSampleCameraPair:
     def test_radius_shell_and_separation(self, rng):
@@ -147,6 +168,15 @@ class TestRunTrial:
 
 
 class TestSweep:
+    def test_interleaves_the_trials_level_by_level(self):
+        # The sweep runs every trial's geometry first and each estimator once
+        # over all levels x trials; its records are run_trial's, reordered.
+        cfg = ExperimentConfig(trials=3, noise_levels=(0.0, 0.04, 0.1), seed=7)
+        per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
+        n = len(ALGOS)
+        expected = [r for lv in range(3) for records in per_trial for r in records[lv * n : (lv + 1) * n]]
+        assert repr(run_noise_sweep(cfg)) == repr(expected)
+
     def test_deterministic(self, tmp_path):
         cfg = ExperimentConfig(trials=3, noise_levels=(0.0, 0.05), seed=5)
         pa = tmp_path / "a.csv"
