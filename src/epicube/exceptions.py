@@ -31,9 +31,9 @@ class DegenerateInput(EpicubeError):
     Carries the observed kernel dimension.
     """
 
-    def __init__(self, kernel_dim, message=None):
+    def __init__(self, kernel_dim):
         self.kernel_dim = kernel_dim
-        super().__init__(message or f"unexpected kernel dimension {kernel_dim}")
+        super().__init__(f"unexpected kernel dimension {kernel_dim}")
 
 
 class CoincidentCenters(EpicubeError):

@@ -119,18 +119,10 @@ def project_all(camera, P):
     # einsum matches A @ p bit for bit; P @ A.T does not, and its last-bit
     # changes can flip residual ties between candidates.
     img = np.einsum("ij,nj->ni", A, P)
-    with np.errstate(over="ignore", under="ignore"):
-        a = np.linalg.norm(A)
-        p = np.linalg.norm(P, axis=1)
-        bound = 1e-12 * a * p
-        # |A p| <= 1e-12 |A| |p| on the unscaled product, wherever no norm
-        # can under- or overflow; elsewhere on A at max |entry| 1 and unit
-        # rows of P.
-        if 1e-150 < a < 1e150 and ((p > 1e-150) & (p < 1e150) & (bound > 1e-150)).all():
-            centre = np.linalg.norm(img, axis=1) <= bound
-        else:
-            A = A / (np.abs(A).max() or 1.0)
-            centre = np.linalg.norm(np.einsum("ij,nj->ni", A, _unit_rows(P)), axis=1) <= 1e-12 * np.linalg.norm(A)
+    # |A p| <= 1e-12 |A| |p|, tested on A at max |entry| 1 and unit rows of P
+    # so that no norm can under- or overflow at any scale.
+    A = A / (np.abs(A).max() or 1.0)
+    centre = np.linalg.norm(np.einsum("ij,nj->ni", A, _unit_rows(P)), axis=1) <= 1e-12 * np.linalg.norm(A)
     if centre.any():
         raise FocalPointProjection("point projects to the zero vector")
     return img

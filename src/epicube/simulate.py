@@ -2,10 +2,10 @@
 experiment comparing the 8-point, 7-point and cube-8-point estimators.
 
 Determinism contract: every output is a pure function of the master seed.
-Trial geometry (cube, cameras) and the noise direction are keyed by
-(seed, trial) and shared across noise levels; a level only scales the
-noise draw.  Common random numbers keep the per-level medians directly
-comparable along the noise grid.
+Trial geometry (cube, cameras) and one noise draw are keyed by (seed, trial)
+and shared across noise levels: the sweep scales that draw for every level
+in one stacked pass, which ``add_noise`` runs on one cloud.  Common random
+numbers keep the per-level medians directly comparable along the noise grid.
 """
 
 import csv
@@ -121,9 +121,17 @@ def add_noise(pts, sigma_frac, rng):
     aff = dehomogenize(P)
     if sigma_frac == 0.0:
         return P.copy()
-    diag = np.linalg.norm(aff.max(axis=0) - aff.min(axis=0))
-    noisy = aff + rng.normal(0.0, sigma_frac * diag, size=aff.shape)
-    return homogenize(noisy)
+    return _perturb(aff, sigma_frac, rng.standard_normal(aff.shape))
+
+
+def _perturb(aff, sigma, z):
+    """homogenize(aff + sigma * diag * z) on a (..., n, 2) stack of affine
+    clouds, diag each cloud's bbox diagonal and sigma broadcast over the
+    stack axes.  It rounds as np.linalg.norm and Generator.normal(0.0,
+    sigma * diag) do when that normal draws the standard normals z."""
+    d = aff.max(axis=-2) - aff.min(axis=-2)
+    scale = sigma * np.sqrt(np.vecdot(d, d))
+    return homogenize(aff + (0.0 + scale[..., None, None] * z))
 
 
 def _seed_of(seq):
@@ -131,8 +139,8 @@ def _seed_of(seq):
 
 
 def _geometry(cfg, trial_idx):
-    """A trial's well-posed geometry: (cube_seed, cam_seed, noise stream,
-    F_true, X, Y)."""
+    """A trial's well-posed geometry and noise draw: (cube_seed, cam_seed,
+    z, F_true, X, Y), z the standard normals that perturb X, then Y."""
     geo = np.random.SeedSequence([cfg.seed, trial_idx])
     cube_ss, cam_ss, noise_ss = geo.spawn(3)
     cube_rng = np.random.default_rng(cube_ss)
@@ -157,26 +165,26 @@ def _geometry(cfg, trial_idx):
     F_true = fundamental_from_cameras(A1, A2)
     X = project_all(A1, cube.vertices)
     Y = project_all(A2, cube.vertices)
-    return _seed_of(cube_ss), _seed_of(cam_ss), noise_ss, F_true, X, Y
+    z = np.random.default_rng(noise_ss).standard_normal((2, len(X), 2))
+    return _seed_of(cube_ss), _seed_of(cam_ss), z, F_true, X, Y
 
 
 def _run(cfg, trials):
     """Records of the trials at every level of cfg: level by level, trial by
     trial within a level, one record per algorithm.
 
-    Every trial's geometry comes first; each level then adds its own scaling
-    of the trial's one noise draw.  Each estimator runs once over the stack
-    of all levels x trials, and the records are scored in one pass.
+    Every trial's geometry and noise draw come first, then the images of all
+    levels x trials in one pass (clean at noise 0).  Each estimator runs once
+    over that stack, and the records are scored in one pass.
     """
     geos = [_geometry(cfg, t) for t in trials]
-    X, Y = [], []
-    for sigma in cfg.noise_levels:
-        for _, _, noise_ss, _, X0, Y0 in geos:
-            # A fresh generator per level: every level scales the same draw.
-            noise_rng = np.random.default_rng(noise_ss)
-            X.append(add_noise(X0, sigma, noise_rng))
-            Y.append(add_noise(Y0, sigma, noise_rng))
-    X, Y = np.array(X), np.array(Y)
+    # Axes (X or Y, [level,] trial, point, coordinate).
+    clean = np.array([[g[4] for g in geos], [g[5] for g in geos]])
+    z = np.array([g[2] for g in geos]).swapaxes(0, 1)[:, None]
+    sigma = np.array(cfg.noise_levels, dtype=float)
+    images = _perturb(dehomogenize(clean.reshape(-1, 3)).reshape(z.shape), sigma[:, None], z)
+    images[:, sigma == 0.0] = clean[:, None]
+    X, Y = images.reshape(2, -1, *clean.shape[2:])
     F_true = np.array([g[3] for g in geos] * len(cfg.noise_levels))
     # (instance, algorithm) in record order.
     F = np.empty((len(X), len(ALGOS), 3, 3))

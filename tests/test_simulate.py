@@ -7,7 +7,7 @@ import pytest
 
 from epicube import simulate
 from epicube.exceptions import ExhaustedRetries
-from epicube.projective import focal_point, homogenize, proj_equal
+from epicube.projective import dehomogenize, focal_point, homogenize, proj_equal
 from epicube.quadrics import RULED_NONDEGENERATE, QuadricClass
 from epicube.simulate import (
     ALGOS,
@@ -89,8 +89,20 @@ class TestSampleCameraPair:
 class TestAddNoise:
     def test_zero_sigma_identity(self, rng):
         pts = homogenize(rng.uniform(-1, 1, (8, 2)))
+        state = rng.bit_generator.state
         out = add_noise(pts, 0.0, rng)
         assert np.array_equal(out, pts)
+        # Nothing is drawn at sigma 0: callers that share one generator
+        # across levels see the same stream after a noise-free cloud.
+        assert rng.bit_generator.state == state
+
+    def test_single_point_cloud_is_rehomogenized(self, rng):
+        # A zero bounding box scales the noise to zero, but a positive level
+        # still returns the points at w = 1.
+        pts = np.tile([0.5, -3.0, 2.0], (8, 1))
+        out = add_noise(pts, 0.05, rng)
+        assert np.array_equal(out, homogenize(dehomogenize(pts)))
+        assert np.all(out[:, 2] == 1.0)
 
     def test_noise_scales_with_sigma(self, rng):
         pts = homogenize(rng.uniform(-1, 1, (8, 2)))
@@ -100,6 +112,17 @@ class TestAddNoise:
         da = (a - pts)[:, :2]
         db = (b - pts)[:, :2]
         assert np.allclose(db, 2.0 * da)
+
+    def test_matches_generator_normal(self, rng):
+        # The shared expression rounds as the draw it replaces: normal noise
+        # of scale sigma * (bbox diagonal) from the same generator.
+        for _ in range(50):
+            pts = np.column_stack([rng.normal(0, 10, (8, 2)), rng.uniform(0.5, 2, 8)])
+            sigma, seed = rng.uniform(0, 0.2), rng.integers(2**32)
+            aff = dehomogenize(pts)
+            diag = np.linalg.norm(aff.max(axis=0) - aff.min(axis=0))
+            expected = homogenize(aff + np.random.default_rng(seed).normal(0.0, sigma * diag, aff.shape))
+            assert np.array_equal(add_noise(pts, sigma, np.random.default_rng(seed)), expected)
 
     def test_deterministic_given_rng(self, rng):
         pts = homogenize(rng.uniform(-1, 1, (8, 2)))
@@ -168,6 +191,33 @@ class TestRunTrial:
 
 
 class TestSweep:
+    def test_images_match_per_level_add_noise(self, monkeypatch):
+        # Reference: the images as add_noise builds them one cloud at a time,
+        # from a fresh generator on the trial's noise stream at every level,
+        # X's noise drawn before Y's.  The sweep's stacked pass must give
+        # them bit for bit.
+        cfg = ExperimentConfig(trials=3, noise_levels=(0.0, 0.02, 0.1), seed=4)
+        seen = []
+        estimate_all = simulate._estimate_all
+
+        def spy(algo, X, Y):
+            seen.append((X.copy(), Y.copy()))
+            return estimate_all(algo, X, Y)
+
+        monkeypatch.setattr(simulate, "_estimate_all", spy)
+        run_noise_sweep(cfg)
+        X_ref, Y_ref = [], []
+        for sigma in cfg.noise_levels:
+            for t in range(cfg.trials):
+                X0, Y0 = simulate._geometry(cfg, t)[4:]
+                noise_ss = np.random.SeedSequence([cfg.seed, t]).spawn(3)[2]
+                noise_rng = np.random.default_rng(noise_ss)
+                X_ref.append(add_noise(X0, sigma, noise_rng))
+                Y_ref.append(add_noise(Y0, sigma, noise_rng))
+        assert len(seen) == len(ALGOS)
+        for X, Y in seen:
+            assert np.array_equal(X, np.array(X_ref)) and np.array_equal(Y, np.array(Y_ref))
+
     def test_interleaves_the_trials_level_by_level(self):
         # The sweep runs every trial's geometry first and each estimator once
         # over all levels x trials; its records are run_trial's, reordered.
