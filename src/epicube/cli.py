@@ -12,9 +12,9 @@ import sys
 import numpy as np
 
 from . import degeneracy, exact, quadrics, simulate
-from .estimators import ALGOS, _estimate
+from .estimators import ALGOS, _estimate_one
 from .exceptions import EpicubeError
-from .projective import canonical_fmatrix, epipolar_residual
+from .projective import canonical_fmatrix
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,18 +53,12 @@ def _read_columns(path, names):
     return np.array(rows, dtype=float).reshape(-1, len(names))
 
 
-def _print_fmatrix(F, residual):
-    F = canonical_fmatrix(F)
-    for row in F:
-        print(" ".join(repr(float(v)) for v in row))
-    print(f"residual: {float(residual)!r}")
-
-
 def _cmd_estimate(args):
     XY = _read_columns(args.input, ("x1", "x2", "x3", "y1", "y2", "y3"))
-    X, Y = XY[:, :3], XY[:, 3:]
-    F = _estimate(args.algo, X, Y)
-    _print_fmatrix(F, epipolar_residual(F, X, Y))
+    F, residual = _estimate_one(args.algo, XY[:, :3], XY[:, 3:])
+    for row in canonical_fmatrix(F):
+        print(" ".join(repr(float(v)) for v in row))
+    print(f"residual: {residual!r}")
     return 0
 
 

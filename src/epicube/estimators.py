@@ -2,8 +2,10 @@
 machinery, and the cube-aware 8-point variant that survives the rank drop
 caused by combinatorial-cube inputs.
 
-The 7-point and cube-8-point estimators each have one core that runs a
-stack of N instances on whole arrays; their public forms are stacks of one.
+The 7-point and cube-8-point estimators each have one core that gives the
+candidates of a stack of N instances on whole arrays.  ``_select`` is the one
+selection rule and ``_estimate_all`` the one dispatcher over ALGOS; the public
+forms and the CLI are stacks of one.
 """
 
 import math
@@ -17,11 +19,11 @@ from .exceptions import CoincidentCenters, DegenerateCloud, DegenerateInput, Epi
 from .projective import (
     _canon_rows,
     _residuals,
+    _unit_pairs,
     _unit_rows,
     as_points,
     canonical_fmatrix,
     dehomogenize,
-    epipolar_residual,
     focal_point,
     homogenize,
     proj_equal,
@@ -112,14 +114,12 @@ class PencilSolution:
     candidates: list
 
     def best(self, X, Y):
-        """Candidate with minimal epipolar residual on (X, Y), and that residual.
-
-        All candidates are scored by one stacked ``epipolar_residual`` call;
-        the first candidate within RESIDUAL_TIE_TOL of the minimum wins.
-        """
-        residuals = epipolar_residual(np.array(self.candidates), X, Y)
-        best = int(_first_best(residuals))
-        return self.candidates[best], float(residuals[best])
+        """Candidate with minimal epipolar residual on (X, Y), and that residual:
+        ``_select`` on a stack of one, so the first candidate within
+        RESIDUAL_TIE_TOL of the minimum wins."""
+        Xu, Yu = _unit_pairs(X, Y)
+        i, residual = _select(np.array(self.candidates)[None], Xu[None], Yu[None])
+        return self.candidates[i[0]], float(residual[0])
 
 
 def _first_best(residuals):
@@ -129,14 +129,17 @@ def _first_best(residuals):
 
 
 def _select(candidates, Xu, Yu):
-    """``PencilSolution.best`` of each instance of an (N, 3, 3, 3) NaN-padded
-    candidate stack, scored on the unit rows (Xu[i], Yu[i]): an (N, 3, 3)
-    stack, NaN where an instance has no candidate."""
+    """The selection rule: each instance of an (N, k, 3, 3) NaN-padded
+    candidate stack keeps its first candidate within RESIDUAL_TIE_TOL of the
+    least residual on the unit rows (Xu[i], Yu[i]).  Returns the chosen
+    indices and their residuals, inf where an instance has no candidate."""
     n, k = (~np.isnan(candidates[:, :, 0, 0])).nonzero()
     residuals = np.full(candidates.shape[:2], np.inf)
     residuals[n, k] = _residuals(candidates[n, k], Xu[n], Yu[n])
+    # A row of infs gives inf - inf.
     with np.errstate(invalid="ignore"):
-        return candidates[np.arange(len(candidates)), _first_best(residuals)]
+        best = _first_best(residuals)
+    return best, residuals[np.arange(len(residuals)), best]
 
 
 def _one(core, *args):
@@ -193,20 +196,15 @@ def cube_eight_point(X, Y):
     with minimal epipolar residual on the original points.  Images with a
     point at infinity cannot be conditioned and are used as given.
     """
-    X = as_points(X, 3)
-    Y = as_points(Y, 3)
-    if len(X) != 8 or len(Y) != 8:
-        raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
-    return _one(_cube_eight_point, X, Y)[0]
+    return _estimate_one("cube8", X, Y)[0]
 
 
-def _cube_eight_point(X, Y, failures):
-    """cube_eight_point on (N, 8, 3) stacks of checked points: an (N, 3, 3)
-    stack, NaN where an instance raises."""
+def _cube_eight_point(X, Y, Xu, Yu, failures):
+    """The denormalized candidates of cube_eight_point on (N, 8, 3) stacks of
+    checked points with unit rows (Xu, Yu), as ``pencil.solve`` gives them."""
     N = len(X)
     P = np.concatenate([X[:, None], Y[:, None]], axis=1)
-    U = _unit_rows(P)
-    affine = (np.abs(U[..., 2]) > 1e-12).all(axis=(1, 2))
+    affine = (np.abs(Xu[..., 2]) > 1e-12).all(axis=1) & (np.abs(Yu[..., 2]) > 1e-12).all(axis=1)
     # Every instance is conditioned; one with a point at infinity then takes
     # its images as given.
     with np.errstate(all="ignore"):
@@ -223,39 +221,43 @@ def _cube_eight_point(X, Y, failures):
     roots, candidates = pencil.solve(Vt[:, 7:], failures)
     n, k = (~np.isnan(roots)).nonzero()
     candidates[n, k] = _canon_rows(T[n, 1].transpose(0, 2, 1) @ candidates[n, k] @ T[n, 0])
-    return _select(candidates, U[:, 0], U[:, 1])
+    return candidates
 
 
 def _estimate_all(algo, X, Y):
-    """``_estimate`` on (N, n, 3) stacks of checked points: an (N, 3, 3)
-    stack, NaN where an instance raises, and each raising instance's
-    exception by index.  "8pt" is one ``eight_point`` call per instance."""
+    """The estimator ``algo`` of ALGOS on (N, n, 3) stacks of checked points:
+    each instance's chosen F, (N, 3, 3), its residual on all n correspondences
+    (NaN and inf where the instance raises), and each raising instance's
+    exception by index.  "8pt" calls the module-global (maybe traced)
+    ``eight_point``, which checks n >= 8, once per instance; "7pt" solves on
+    the first seven."""
     N, failures = len(X), {}
+    Xu, Yu = _unit_rows(X), _unit_rows(Y)
     if algo == "8pt":
-        F = np.full((N, 3, 3), np.nan)
+        candidates = np.full((N, 1, 3, 3), np.nan)
         for i in range(N):
             try:
-                F[i] = eight_point(X[i], Y[i])
+                candidates[i, 0] = eight_point(X[i], Y[i])
             except EpicubeError as exc:
                 failures[i] = exc
     elif algo == "7pt":
-        F = _select(_seven_point(X[:, :7], Y[:, :7], failures)[1], _unit_rows(X), _unit_rows(Y))
+        if X.shape[1] < 7:
+            raise ValueError("the 7-point algorithm needs exactly 7 correspondences")
+        candidates = _seven_point(X[:, :7], Y[:, :7], failures)[1]
     elif algo == "cube8":
-        F = _cube_eight_point(X, Y, failures)
+        if X.shape[1] != 8 or Y.shape[1] != 8:
+            raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
+        candidates = _cube_eight_point(X, Y, Xu, Yu, failures)
     else:
         raise ValueError(f"unknown estimator {algo!r}")
-    return F, failures
+    best, residual = _select(candidates, Xu, Yu)
+    return candidates[np.arange(N), best], residual, failures
 
 
-def _estimate(algo, X, Y):
-    """F by the estimator ``algo`` of ALGOS; "7pt" solves on the first seven
-    correspondences and keeps the candidate of least residual on all of them.
-    The estimators are called by their module-global names, so rebound
-    (traced) ones are the ones that run."""
-    if algo == "8pt":
-        return eight_point(X, Y)
-    if algo == "7pt":
-        return seven_point(X[:7], Y[:7]).best(X, Y)[0]
-    if algo == "cube8":
-        return cube_eight_point(X, Y)
-    raise ValueError(f"unknown estimator {algo!r}")
+def _estimate_one(algo, X, Y):
+    """``_estimate_all`` on one instance: (F, residual); raises the
+    instance's exception."""
+    F, residual, failures = _estimate_all(algo, as_points(X, 3)[None], as_points(Y, 3)[None])
+    if failures:
+        raise failures[0]
+    return F[0], float(residual[0])

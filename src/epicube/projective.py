@@ -88,11 +88,11 @@ def _unit_rows(P):
 
 
 def dehomogenize(pts):
-    """(n, d) homogeneous points -> (n, d-1) affine points."""
+    """(..., n, d) homogeneous points -> (..., n, d-1) affine points."""
     arr = np.atleast_2d(np.asarray(pts, dtype=float))
-    if np.any(np.abs(_unit_rows(arr)[:, -1]) < 1e-14):
+    if np.any(np.abs(_unit_rows(arr)[..., -1]) < 1e-14):
         raise ValueError("point at infinity cannot be dehomogenized")
-    return arr[:, :-1] / arr[:, -1:]
+    return arr[..., :-1] / arr[..., -1:]
 
 
 def homogenize(pts):
@@ -154,14 +154,19 @@ def epipolar_residual(F, X, Y):
     before evaluating the bilinear forms.
     """
     F = np.asarray(F, dtype=float)
+    r = _residuals(F if F.ndim == 3 else F[None], *_unit_pairs(X, Y))
+    return r if F.ndim == 3 else float(r[0])
+
+
+def _unit_pairs(X, Y):
+    """The unit rows of n >= 1 checked correspondences (X, Y)."""
     X = as_points(X, 3)
     Y = as_points(Y, 3)
     if len(X) != len(Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
     if len(X) < 1:
         raise ValueError("need at least one correspondence")
-    r = _residuals(F if F.ndim == 3 else F[None], _unit_rows(X), _unit_rows(Y))
-    return r if F.ndim == 3 else float(r[0])
+    return _unit_rows(X), _unit_rows(Y)
 
 
 def _residuals(F, Xu, Yu):

@@ -20,8 +20,6 @@ from .exceptions import EpicubeError, ExhaustedRetries
 from .quadrics import NONRULED_NONDEGENERATE, classify, cube_quadric
 from .projective import (
     _angles,
-    _residuals,
-    _unit_rows,
     as_points,
     dehomogenize,
     focal_point,
@@ -175,27 +173,26 @@ def _run(cfg, trials):
 
     Every trial's geometry and noise draw come first, then the images of all
     levels x trials in one pass (clean at noise 0).  Each estimator runs once
-    over that stack, and the records are scored in one pass.
+    over that stack and gives each F with its residual (inf where it raised).
     """
     geos = [_geometry(cfg, t) for t in trials]
     # Axes (X or Y, [level,] trial, point, coordinate).
     clean = np.array([[g[4] for g in geos], [g[5] for g in geos]])
     z = np.array([g[2] for g in geos]).swapaxes(0, 1)[:, None]
     sigma = np.array(cfg.noise_levels, dtype=float)
-    images = _perturb(dehomogenize(clean.reshape(-1, 3)).reshape(z.shape), sigma[:, None], z)
+    images = _perturb(dehomogenize(clean)[:, None], sigma[:, None], z)
     images[:, sigma == 0.0] = clean[:, None]
     X, Y = images.reshape(2, -1, *clean.shape[2:])
     F_true = np.array([g[3] for g in geos] * len(cfg.noise_levels))
     # (instance, algorithm) in record order.
     F = np.empty((len(X), len(ALGOS), 3, 3))
-    failed = np.zeros((len(X), len(ALGOS)), dtype=bool)
+    resid = np.empty((len(X), len(ALGOS)))
     for k, algo in enumerate(ALGOS):
-        F[:, k], failures = _estimate_all(algo, X, Y)
-        failed[list(failures), k] = True
+        F[:, k], resid[:, k], _ = _estimate_all(algo, X, Y)
+    failed = np.isinf(resid)
     inst, algo = np.nonzero(~failed)
-    angle, resid = np.zeros(failed.shape), np.zeros(failed.shape)
+    angle = np.zeros(failed.shape)
     angle[inst, algo] = _angles(F[inst, algo].reshape(-1, 9), F_true[inst].reshape(-1, 9))
-    resid[inst, algo] = _residuals(F[inst, algo], _unit_rows(X[inst]), _unit_rows(Y[inst]))
     scores = zip(angle.tolist(), resid.tolist(), failed.tolist())
     records = []
     for sigma in cfg.noise_levels:

@@ -5,8 +5,22 @@ import pytest
 
 from epicube.cli import main
 from epicube.degeneracy import UNIT_CUBE_VERTICES
-from epicube.estimators import seven_point
-from conftest import X_IMAGE, Y_IMAGE
+from epicube.estimators import ALGOS, cube_eight_point, eight_point, seven_point
+from epicube.projective import epipolar_residual
+from conftest import A1, A2, X_IMAGE, Y_IMAGE
+
+# The standard instance's eight correspondences and a ninth of a world point
+# off the cube, which gives Z rank 8.
+NINTH = np.array([0.3, -0.7, 0.5, 1.0])
+X9 = np.vstack([X_IMAGE, A1 @ NINTH])
+Y9 = np.vstack([Y_IMAGE, A2 @ NINTH])
+# Exit code of `epicube estimate` by number of rows and algorithm.
+EXIT_CODES = {
+    6: {"8pt": 2, "7pt": 2, "cube8": 2},
+    7: {"8pt": 2, "7pt": 0, "cube8": 2},
+    8: {"8pt": 2, "7pt": 0, "cube8": 0},
+    9: {"8pt": 0, "7pt": 0, "cube8": 2},
+}
 
 
 def write_correspondences(path, X, Y):
@@ -53,6 +67,28 @@ class TestEstimate:
         F, residual = seven_point(X_IMAGE[:7], Y_IMAGE[:7]).best(X_IMAGE, Y_IMAGE)
         expected = [" ".join(repr(float(v)) for v in row) for row in F]
         assert capsys.readouterr().out.splitlines() == expected + [f"residual: {residual!r}"]
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize("rows", sorted(EXIT_CODES))
+    def test_row_counts(self, rows, algo, tmp_path, capsys):
+        # On success stdout is the library's F and residual, bit for bit.
+        X, Y = X9[:rows], Y9[:rows]
+        path = tmp_path / "corr.csv"
+        write_correspondences(path, X, Y)
+        code = main(["estimate", "--input", str(path), "--algo", algo])
+        out, err = capsys.readouterr()
+        assert code == EXIT_CODES[rows][algo]
+        if code != 0:
+            assert out == "" and err.startswith("error: ")
+            return
+        if algo == "7pt":
+            F, residual = seven_point(X[:7], Y[:7]).best(X, Y)
+        else:
+            F = (eight_point if algo == "8pt" else cube_eight_point)(X, Y)
+            residual = epipolar_residual(F, X, Y)
+        expected = [" ".join(repr(float(v)) for v in row) for row in F]
+        assert out.splitlines() == expected + [f"residual: {residual!r}"]
+        assert err == ""
 
     def test_missing_file(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 2

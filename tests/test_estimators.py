@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,6 @@ from epicube.estimators import (
     ALGOS,
     RESIDUAL_TIE_TOL,
     PencilSolution,
-    _estimate,
     _estimate_all,
     _first_best,
     _select,
@@ -357,16 +358,30 @@ class TestStackedCore:
 
     def test_select_keeps_the_tie_rule(self, rng):
         # Each instance's near-tie between a candidate and its 1e-15
-        # perturbation goes to the first, as PencilSolution.best has it.
+        # perturbation goes to the first, as the scalar oracle has it.
         X, Y = rng.standard_normal((2, 8, 3))
         G = np.array([canonical_fmatrix(M) for M in rng.standard_normal((40, 3, 3))])
         H = np.array([canonical_fmatrix(M) for M in G + 1e-15 * rng.standard_normal((40, 3, 3))])
         stack = np.stack([G, H, np.roll(G, 1, axis=0)], axis=1)
         Xs, Ys = np.tile(X, (40, 1, 1)), np.tile(Y, (40, 1, 1))
-        F = _select(stack, _unit_rows(Xs), _unit_rows(Ys))
-        for row, f in zip(stack, F):
-            assert np.array_equal(f, PencilSolution(np.zeros(3), list(row)).best(X, Y)[0])
+        best, residual = _select(stack, _unit_rows(Xs), _unit_rows(Ys))
+        for row, i, r in zip(stack, best, residual):
+            F, ref = reference_best(list(row), X, Y)
+            assert np.array_equal(F, row[i]) and r == ref
         assert (epipolar_residual(H, X, Y) < epipolar_residual(G, X, Y)).any()
+
+    def test_select_without_candidates(self, rng):
+        # An instance whose candidates are all NaN padding gets residual inf,
+        # and the inf - inf of its tie test raises no warning.
+        X, Y = rng.standard_normal((2, 8, 3))
+        stack = np.full((2, 3, 3, 3), np.nan)
+        stack[1, 1] = canonical_fmatrix(rng.standard_normal((3, 3)))
+        Xu, Yu = np.tile(_unit_rows(X), (2, 1, 1)), np.tile(_unit_rows(Y), (2, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best, residual = _select(stack, Xu, Yu)
+        assert best[1] == 1
+        assert residual.tolist() == [np.inf, epipolar_residual(stack[1, 1], X, Y)]
 
     @pytest.fixture
     def mixed_pool(self, nonruled_pool, standard_instance):
@@ -391,24 +406,34 @@ class TestStackedCore:
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_estimator_stack_equals_one_by_one(self, algo, mixed_pool):
-        # One raising instance changes no other instance's output.
+        # Each instance's F and residual are those of the public estimator
+        # called on it alone; one raising instance changes no other instance.
         X, Y = mixed_pool
-        F, failures = _estimate_all(algo, X, Y)
+        F, residual, failures = _estimate_all(algo, X, Y)
         for i in range(len(X)):
             try:
-                G = _estimate(algo, X[i], Y[i])
+                if algo == "7pt":
+                    G, r = seven_point(X[i, :7], Y[i, :7]).best(X[i], Y[i])
+                else:
+                    G = (eight_point if algo == "8pt" else cube_eight_point)(X[i], Y[i])
+                    r = epipolar_residual(G, X[i], Y[i])
             except EpicubeError as exc:
                 assert type(failures[i]) is type(exc)
-                assert np.isnan(F[i]).all()
+                assert np.isnan(F[i]).all() and residual[i] == np.inf
             else:
                 assert i not in failures
                 assert np.array_equal(F[i], G)
+                assert residual[i] == r
         expected = {
             "8pt": {DegenerateInput},
             "7pt": {DegenerateInput},
             "cube8": {DegenerateCloud, IdenticallyZeroPencil},
         }
         assert {type(e) for e in failures.values()} == expected[algo]
+
+    def test_unknown_estimator(self, mixed_pool):
+        with pytest.raises(ValueError, match="unknown estimator"):
+            _estimate_all("9pt", *mixed_pool)
 
     def test_mixed_pool_reaches_the_unconditioned_path(self, mixed_pool):
         X, Y = mixed_pool

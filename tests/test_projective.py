@@ -81,6 +81,18 @@ class TestHomogenize:
         with pytest.raises(ValueError):
             dehomogenize([[1.0, 2.0, 0.0]])
 
+    def test_stack_equals_per_cloud(self, rng):
+        P = rng.standard_normal((3, 5, 3))
+        assert dehomogenize(np.ones((2, 4, 3))).shape == (2, 4, 2)
+        assert np.array_equal(dehomogenize(P), np.array([dehomogenize(cloud) for cloud in P]))
+
+    @pytest.mark.parametrize("cloud", range(3))
+    def test_point_at_infinity_in_a_stack(self, cloud, rng):
+        P = rng.standard_normal((3, 4, 3))
+        P[cloud, 2, 2] = 0.0
+        with pytest.raises(ValueError, match="infinity"):
+            dehomogenize(P)
+
 
 class TestCamera:
     def test_project_matches_matrix_action(self, standard_instance):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from epicube import simulate
-from epicube.exceptions import ExhaustedRetries
+from epicube.exceptions import ExhaustedRetries, PencilOfQuadrics
 from epicube.projective import dehomogenize, focal_point, homogenize, proj_equal
 from epicube.quadrics import RULED_NONDEGENERATE, QuadricClass
 from epicube.simulate import (
@@ -178,6 +178,40 @@ class TestRunTrial:
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=11)
         with pytest.raises(ExhaustedRetries):
             run_trial(cfg, 0)
+
+    def test_gate_retries_after_a_failed_quadric(self, monkeypatch):
+        # A first pair whose quadric cannot be fitted is skipped like a first
+        # pair that classify rejects.  Trial 6 of seed 0 accepts its first
+        # pair, so both runs differ from the unpatched one.
+        cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0)
+
+        def failing_first(name, first):
+            real, calls = getattr(simulate, name), []
+
+            def patched(*args):
+                calls.append(args)
+                return first() if len(calls) == 1 else real(*args)
+
+            monkeypatch.setattr(simulate, name, patched)
+            return calls
+
+        def raise_pencil():
+            raise PencilOfQuadrics("no unique quadric")
+
+        def geometry():
+            g = simulate._geometry(cfg, 6)
+            monkeypatch.undo()
+            return g
+
+        unpatched = geometry()
+        calls = failing_first("classify", lambda: QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0)))
+        rejected = geometry()
+        attempts = len(calls)
+        calls = failing_first("cube_quadric", raise_pencil)
+        failed = geometry()
+        assert len(calls) == attempts > 1
+        assert all(np.array_equal(a, b) for a, b in zip(failed, rejected))
+        assert not np.array_equal(failed[4], unpatched[4])
 
     def test_levels_are_common_random_numbers(self):
         # Each level of a sweep gives the records of a sweep at that level
