@@ -14,7 +14,6 @@ import numpy as np
 from . import degeneracy, exact, quadrics, simulate
 from .estimators import ALGOS, _estimate_one
 from .exceptions import EpicubeError
-from .projective import canonical_fmatrix
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +55,7 @@ def _read_columns(path, names):
 def _cmd_estimate(args):
     XY = _read_columns(args.input, ("x1", "x2", "x3", "y1", "y2", "y3"))
     F, residual = _estimate_one(args.algo, XY[:, :3], XY[:, 3:])
-    for row in canonical_fmatrix(F):
+    for row in F:
         print(" ".join(repr(float(v)) for v in row))
     print(f"residual: {residual!r}")
     return 0

@@ -79,19 +79,26 @@ class CubeConfig:
     ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9.  The
     constructor raises ValueError where ``is_combinatorial_cube`` says False,
     and keeps in ``planes`` the facet planes (row k for FACETS[k]) from that
-    check's SVD.  It keeps a copy of the vertices, and both arrays are
-    read-only.
+    check's SVD, and in ``pencil`` the facet pencil: row k is the flattened
+    symmetric q_k with c^T q_k c = (planes[2k] . c)(planes[2k + 1] . c).  It
+    keeps a copy of the vertices, and all three arrays are read-only.
     """
 
     vertices: np.ndarray
     planes: np.ndarray = field(init=False, repr=False)
+    pencil: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ok, diag, vertices, planes = _facet_check(self.vertices)
         if not ok:
             raise ValueError(f"not a combinatorial cube: {diag}")
+        near, far = planes[0::2], planes[1::2]
+        q = 0.5 * (near[:, :, None] * far[:, None, :] + far[:, :, None] * near[:, None, :])
+        pencil = q.reshape(3, 16)
+        pencil.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "pencil", pencil)
 
 
 def unit_cube():

@@ -90,8 +90,11 @@ def fundamental_from_cameras(A1, A2):
     """Ground-truth F for a camera pair, via the epipole of A1's center."""
     A1 = np.asarray(A1, dtype=float)
     A2 = np.asarray(A2, dtype=float)
-    c1 = focal_point(A1)
-    c2 = focal_point(A2)
+    return _fundamental(A1, A2, focal_point(A1), focal_point(A2))
+
+
+def _fundamental(A1, A2, c1, c2):
+    """fundamental_from_cameras of float cameras whose focal points are c1, c2."""
     if proj_equal(c1, c2, tol=1e-9):
         raise CoincidentCenters("camera centers coincide")
     e2 = project(A2, c1)
@@ -242,7 +245,7 @@ def _estimate_all(algo, X, Y):
                 failures[i] = exc
     elif algo == "7pt":
         if X.shape[1] < 7:
-            raise ValueError("the 7-point algorithm needs exactly 7 correspondences")
+            raise ValueError("the 7-point algorithm needs at least 7 correspondences")
         candidates = _seven_point(X[:, :7], Y[:, :7], failures)[1]
     elif algo == "cube8":
         if X.shape[1] != 8 or Y.shape[1] != 8:

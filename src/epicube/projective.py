@@ -133,10 +133,15 @@ def focal_point(camera):
     A = np.asarray(camera, dtype=float)
     if A.shape != (3, 4):
         raise ValueError(f"camera must be 3x4, got {A.shape}")
+    return _focal_points(A[None])[0]
+
+
+def _focal_points(A):
+    """focal_point of each camera of a (k, 3, 4) stack, from one SVD."""
     _, s, vt = np.linalg.svd(A)
-    if s[2] <= DEFAULT_TOL * s[0]:
+    if np.any(s[:, 2] <= DEFAULT_TOL * s[:, 0]):
         raise RankDeficientCamera("camera matrix has rank < 3")
-    return canon(vt[3])
+    return _canon_rows(vt[:, 3])
 
 
 def canonical_fmatrix(F):

@@ -80,22 +80,24 @@ def cube_quadric(C, c1, c2):
     CubeConfig or its vertices; anything but a combinatorial cube raises
     ValueError.
     """
-    planes = (C if isinstance(C, CubeConfig) else CubeConfig(C)).planes
-    near, far = planes[0::2], planes[1::2]
-    # c^T q_k c = (near_k . c)(far_k . c).
-    q = 0.5 * (near[:, :, None] * far[:, None, :] + far[:, :, None] * near[:, None, :])
+    C = C if isinstance(C, CubeConfig) else CubeConfig(C)
     single = np.ndim(c2) == 1
-    c = np.vstack([as_point(c1, 4), as_points(c2, 4)])
+    Q, ok = _cube_quadrics(C, np.vstack([as_point(c1, 4), as_points(c2, 4)]))
+    if single and not ok[0]:
+        raise PencilOfQuadrics("focal points leave a pencil of quadrics through the cube")
+    return Q[0] if single else Q
+
+
+def _cube_quadrics(C, c):
+    """cube_quadric of the CubeConfig C through c[0] and each c[1:] of checked
+    (n, 4) points: the (n - 1, 4, 4) stack, zero where a pencil fits, and ok."""
     # Rows at max |coordinate| 1, so r neither underflows nor overflows.
-    s = (c / np.abs(c).max(axis=1, keepdims=True)) @ planes.T
+    s = (c / np.abs(c).max(axis=1, keepdims=True)) @ C.planes.T
     a, b = s[0, 0::2] * s[0, 1::2], s[1:, 0::2] * s[1:, 1::2]
     # a x b, written out: np.cross alone costs about 20 us per call.
     lam = a[[1, 2, 0]] * b[:, [2, 0, 1]] - a[[2, 0, 1]] * b[:, [1, 2, 0]]
     ok = np.linalg.norm(lam, axis=1) > 1e-12 * np.linalg.norm(a) * np.linalg.norm(b, axis=1)
-    if single and not ok[0]:
-        raise PencilOfQuadrics("focal points leave a pencil of quadrics through the cube")
-    Q = ((lam * ok[:, None]) @ q.reshape(3, 16)).reshape(-1, 4, 4)
-    return Q[0] if single else Q
+    return ((lam * ok[:, None]) @ C.pencil).reshape(-1, 4, 4), ok
 
 
 def unit_cube_quadric(f1, f2):

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import random_combinatorial_cube
-from .estimators import ALGOS, _estimate_all, fundamental_from_cameras
-from .exceptions import EpicubeError, ExhaustedRetries
-from .quadrics import NONRULED_NONDEGENERATE, classify, cube_quadric
+from .estimators import ALGOS, _estimate_all, _fundamental
+from .exceptions import ExhaustedRetries
+from .quadrics import NONRULED_NONDEGENERATE, _classify_stack, _cube_quadrics
 from .projective import (
     _angles,
+    _focal_points,
     as_points,
     dehomogenize,
-    focal_point,
     homogenize,
     project_all,
 )
@@ -89,21 +89,39 @@ def sample_camera_pair(rng, radius):
     (wide-baseline pairs viewing the scene from nearly opposite sides).
     Narrow baselines amplify image noise dramatically in the near-critical
     cube geometry.  Raises ExhaustedRetries after MAX_CAMERA_DRAWS draws.
+
+    Each draw makes rng.standard_normal(3) and rng.random() per center, in
+    that order; 0.95 + (1.05 - 0.95) * random() is rng.uniform(0.95, 1.05)
+    bit for bit.  A screen in Python floats rejects draws below (1 - 1e-9)^2
+    times the squared bound.  Near the bound it rounds otherwise than numpy
+    (whose v.dot(v) may fuse multiply-adds) by a few ulps, far inside that
+    margin, so the exact numpy test, which redoes the draws that pass, would
+    reject every draw the screen rejects; and the margin is thin enough that
+    nearly every draw that passes is accepted.  Radii outside (1e-100, 1e100)
+    skip the screen, whose squares could leave the normal range.
     """
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
+    lim = MIN_SEPARATION * radius
+    screen = (lim * (1.0 - 1e-9)) ** 2 if 1e-100 < radius < 1e100 else 0.0
     for _ in range(MAX_CAMERA_DRAWS):
+        v1 = rng.standard_normal(3)
+        r1 = radius * (0.95 + (1.05 - 0.95) * rng.random())
+        v2 = rng.standard_normal(3)
+        r2 = radius * (0.95 + (1.05 - 0.95) * rng.random())
+        (x1, y1, z1), (x2, y2, z2) = v1.tolist(), v2.tolist()
+        s1 = r1 / math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+        s2 = r2 / math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+        dx, dy, dz = s1 * x1 - s2 * x2, s1 * y1 - s2 * y2, s1 * z1 - s2 * z2
+        if dx * dx + dy * dy + dz * dz < screen:
+            continue
         # Norms as sqrt(x.dot(x)), which is what np.linalg.norm computes for
         # a vector, without its per-call overhead.
-        centers = []
-        for _ in range(2):
-            v = rng.standard_normal(3)
-            v /= math.sqrt(v.dot(v))
-            r = radius * rng.uniform(0.95, 1.05)
-            centers.append(r * v)
-        d = centers[0] - centers[1]
-        if math.sqrt(d.dot(d)) >= MIN_SEPARATION * radius:
-            return look_at_camera(centers[0]), look_at_camera(centers[1])
+        c1 = r1 * (v1 / math.sqrt(v1.dot(v1)))
+        c2 = r2 * (v2 / math.sqrt(v2.dot(v2)))
+        d = c1 - c2
+        if math.sqrt(d.dot(d)) >= lim:
+            return look_at_camera(c1), look_at_camera(c2)
     raise ExhaustedRetries(f"no separated camera pair in {MAX_CAMERA_DRAWS} draws")
 
 
@@ -152,15 +170,13 @@ def _geometry(cfg, trial_idx):
         if attempt % 16 == 0:
             cube = random_combinatorial_cube(cube_rng)
         A1, A2 = sample_camera_pair(cam_rng, CAMERA_RADIUS)
-        try:
-            Q = cube_quadric(cube, focal_point(A1), focal_point(A2))
-        except EpicubeError:
-            continue
-        if classify(Q).tag == NONRULED_NONDEGENERATE:
+        # A pencil of quadrics leaves the zero matrix, which is DEGENERATE.
+        c = _focal_points(np.array([A1, A2]))
+        if _classify_stack(_cube_quadrics(cube, c)[0])[0].tag == NONRULED_NONDEGENERATE:
             break
     else:
         raise ExhaustedRetries(f"no non-ruled geometry in {MAX_GEOMETRY_ATTEMPTS} attempts")
-    F_true = fundamental_from_cameras(A1, A2)
+    F_true = _fundamental(A1, A2, *c)
     X = project_all(A1, cube.vertices)
     Y = project_all(A2, cube.vertices)
     z = np.random.default_rng(noise_ss).standard_normal((2, len(X), 2))

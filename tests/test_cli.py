@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from epicube.cli import main
-from epicube.degeneracy import UNIT_CUBE_VERTICES
+from epicube.degeneracy import UNIT_CUBE_VERTICES, random_combinatorial_cube
 from epicube.estimators import ALGOS, cube_eight_point, eight_point, seven_point
-from epicube.projective import epipolar_residual
+from epicube.projective import canonical_fmatrix, epipolar_residual, project_all
+from epicube.simulate import add_noise, sample_camera_pair
 from conftest import A1, A2, X_IMAGE, Y_IMAGE
 
 # The standard instance's eight correspondences and a ninth of a world point
@@ -80,6 +81,8 @@ class TestEstimate:
         assert code == EXIT_CODES[rows][algo]
         if code != 0:
             assert out == "" and err.startswith("error: ")
+            if algo == "7pt":
+                assert "the 7-point algorithm needs at least 7 correspondences" in err
             return
         if algo == "7pt":
             F, residual = seven_point(X[:7], Y[:7]).best(X, Y)
@@ -89,6 +92,27 @@ class TestEstimate:
         expected = [" ".join(repr(float(v)) for v in row) for row in F]
         assert out.splitlines() == expected + [f"residual: {residual!r}"]
         assert err == ""
+
+    @pytest.mark.parametrize("algo", ["7pt", "cube8"])
+    def test_prints_the_library_f(self, algo, tmp_path, capsys):
+        # A noisy cube image whose F canonical_fmatrix moves in the last bit:
+        # stdout is F as the library returns it, not canonicalized again.
+        rng = np.random.default_rng(2)
+        cube = random_combinatorial_cube(rng)
+        A1, A2 = sample_camera_pair(rng, 6.0)
+        X = add_noise(project_all(A1, cube.vertices), 0.02, rng)
+        Y = add_noise(project_all(A2, cube.vertices), 0.02, rng)
+        if algo == "7pt":
+            F, residual = seven_point(X[:7], Y[:7]).best(X, Y)
+        else:
+            F = cube_eight_point(X, Y)
+            residual = epipolar_residual(F, X, Y)
+        assert not np.array_equal(canonical_fmatrix(F), F)
+        path = tmp_path / "corr.csv"
+        write_correspondences(path, X, Y)
+        assert main(["estimate", "--input", str(path), "--algo", algo]) == 0
+        expected = [" ".join(repr(float(v)) for v in row) for row in F]
+        assert capsys.readouterr().out.splitlines() == expected + [f"residual: {residual!r}"]
 
     def test_missing_file(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 2

@@ -537,9 +537,14 @@ class TestSevenPoint:
         assert min(grassmann_angle(F, F_true) for F in sol.candidates) < 1e-9
 
     def test_needs_exactly_seven(self, rng):
+        # The public form solves on exactly seven; the dispatcher selects on
+        # all rows and needs at least seven.
         X, Y, _ = generic_scene(rng, n=8)
-        with pytest.raises(ValueError):
-            seven_point(X, Y)
+        for n in (6, 8):
+            with pytest.raises(ValueError, match="needs exactly 7 correspondences"):
+                seven_point(X[:n], Y[:n])
+        with pytest.raises(ValueError, match="needs at least 7 correspondences"):
+            _estimate_all("7pt", X[None, :6], Y[None, :6])
 
     def test_best_selects_minimal_residual(self, rng):
         X, Y, F_true = generic_scene(rng, n=8)

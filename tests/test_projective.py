@@ -8,6 +8,7 @@ from epicube.exceptions import (
     ZeroMatrix,
 )
 from epicube.projective import (
+    _focal_points,
     as_point,
     as_points,
     canon,
@@ -21,6 +22,7 @@ from epicube.projective import (
     project,
     project_all,
 )
+from epicube.simulate import sample_camera_pair
 
 
 class TestValidation:
@@ -156,6 +158,23 @@ class TestCamera:
         A[0, 0] = 1.0
         with pytest.raises(RankDeficientCamera):
             focal_point(A)
+
+    def test_stack_is_focal_point_bit_for_bit(self, rng, standard_instance):
+        # One SVD of a stack gives each camera's centre as focal_point does,
+        # for a pair of look-at cameras as the sweep's gate stacks them too.
+        A = rng.standard_normal((300, 3, 4)) * rng.uniform(1e-3, 1e3, (300, 1, 1))
+        A[:2] = standard_instance["A1"], standard_instance["A2"]
+        for stack in (A, A[:2], A[2:3]):
+            assert all(np.array_equal(c, focal_point(a)) for a, c in zip(stack, _focal_points(stack)))
+        pair = np.array(sample_camera_pair(rng, 6.0))
+        assert all(np.array_equal(c, focal_point(a)) for a, c in zip(pair, _focal_points(pair)))
+
+    def test_rank_deficient_camera_in_a_stack(self, rng):
+        A = rng.standard_normal((5, 3, 4))
+        A[3, 2] = A[3, 0] - 2.0 * A[3, 1]
+        _focal_points(np.delete(A, 3, axis=0))
+        with pytest.raises(RankDeficientCamera):
+            _focal_points(A)
 
 
 class TestFmatrix:

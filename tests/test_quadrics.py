@@ -177,6 +177,31 @@ class TestCubeQuadric:
         for i in (0, 1, 3, 4):
             assert np.allclose(Qs[i], cube_quadric(cube, f1, f2s[i]), rtol=0, atol=1e-14)
 
+    def test_stored_pencil_matches_the_facet_products(self, rng):
+        # Reference: cube_quadric as it built the facet pencil from the
+        # planes on every call.  The pencil kept on the cube gives the same
+        # quadrics bit for bit, for a point and for a stack.
+        def reference(cube, c1, c2):
+            near, far = cube.planes[0::2], cube.planes[1::2]
+            q = 0.5 * (near[:, :, None] * far[:, None, :] + far[:, :, None] * near[:, None, :])
+            c = np.vstack([c1, c2])
+            s = (c / np.abs(c).max(axis=1, keepdims=True)) @ cube.planes.T
+            a, b = s[0, 0::2] * s[0, 1::2], s[1:, 0::2] * s[1:, 1::2]
+            lam = a[[1, 2, 0]] * b[:, [2, 0, 1]] - a[[2, 0, 1]] * b[:, [1, 2, 0]]
+            ok = np.linalg.norm(lam, axis=1) > 1e-12 * np.linalg.norm(a) * np.linalg.norm(b, axis=1)
+            Q = ((lam * ok[:, None]) @ q.reshape(3, 16)).reshape(-1, 4, 4)
+            return Q[0] if np.ndim(c2) == 1 else Q
+
+        for cube in [unit_cube()] + [random_combinatorial_cube(rng) for _ in range(20)]:
+            f1 = np.append(rng.uniform(-6, 6, 3), 1.0)
+            f2s = np.append(rng.uniform(-6, 6, (50, 3)), np.ones((50, 1)), axis=1)
+            # A pencil, and a point within rounding of one: both zero.
+            f2s[7], f2s[8] = f1, f1 + [1e-14, 0.0, 0.0, 0.0]
+            assert not cube_quadric(cube, f1, f2s)[[7, 8]].any()
+            assert np.array_equal(cube_quadric(cube, f1, f2s), reference(cube, f1, f2s))
+            assert np.array_equal(cube_quadric(cube, f1, f2s[0]), reference(cube, f1, f2s[0]))
+            assert not cube.pencil.flags.writeable
+
     def test_homogeneous_scale_invariance_at_extreme_scales(self, rng):
         cube = random_combinatorial_cube(rng)
         f1 = np.array([2.0, 3.0, 4.0, 1.0])

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from epicube import simulate
-from epicube.exceptions import ExhaustedRetries, PencilOfQuadrics
-from epicube.projective import dehomogenize, focal_point, homogenize, proj_equal
-from epicube.quadrics import RULED_NONDEGENERATE, QuadricClass
+from epicube.degeneracy import random_combinatorial_cube
+from epicube.estimators import fundamental_from_cameras
+from epicube.exceptions import EpicubeError, ExhaustedRetries
+from epicube.projective import dehomogenize, focal_point, homogenize, proj_equal, project_all
+from epicube.quadrics import NONRULED_NONDEGENERATE, RULED_NONDEGENERATE, QuadricClass, classify, cube_quadric
 from epicube.simulate import (
     ALGOS,
     CSV_HEADER,
@@ -63,7 +65,93 @@ class TestLookAtCamera:
             assert np.array_equal(look_at_camera(f), reference(f))
 
 
+def reference_separation(draw, radius):
+    """The centers of a draw ((v1, u1), (v2, u2)) and their distance, with
+    the numpy expressions of the per-draw sampler."""
+    centers = []
+    for v, u in draw:
+        v = v / math.sqrt(v.dot(v))
+        centers.append(radius * u * v)
+    d = centers[0] - centers[1]
+    return centers, math.sqrt(d.dot(d))
+
+
+def reference_pair(rng, radius):
+    """sample_camera_pair as one numpy expression per draw, with no screen."""
+    for _ in range(simulate.MAX_CAMERA_DRAWS):
+        draw = [(rng.standard_normal(3), rng.uniform(0.95, 1.05)) for _ in range(2)]
+        centers, sep = reference_separation(draw, radius)
+        if sep >= simulate.MIN_SEPARATION * radius:
+            return look_at_camera(centers[0]), look_at_camera(centers[1])
+    raise ExhaustedRetries("no separated camera pair")
+
+
+class ScriptedStream:
+    """Stands in for a Generator: replays (v, u) draws as standard_normal(3)
+    and random(), and logs each dot product taken of a replayed vector or of
+    an array computed from one."""
+
+    def __init__(self, draws):
+        dots = self.dots = []
+
+        class Logged(np.ndarray):
+            def dot(self, other):
+                dots.append(1)
+                return np.asarray(self).dot(np.asarray(other))
+
+        self.queue = [x for v, u in draws for x in (np.array(v, dtype=float).view(Logged), u)]
+
+    def standard_normal(self, size):
+        assert size == 3
+        return self.queue.pop(0)
+
+    def random(self):
+        return self.queue.pop(0)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+
 class TestSampleCameraPair:
+    @pytest.mark.parametrize("separation", [1.0, 1.5, 1.97])
+    def test_matches_the_per_draw_sampler(self, separation, monkeypatch):
+        # The screen changes no camera and no generator state: after every
+        # call both samplers have drawn the same numbers.  Lower bounds send
+        # more draws through the exact test; 700 pairs per bound.
+        monkeypatch.setattr(simulate, "MIN_SEPARATION", separation)
+        fast, slow = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(700):
+            pair, expected = sample_camera_pair(fast, 6.0), reference_pair(slow, 6.0)
+            assert all(np.array_equal(a, b) for a, b in zip(pair, expected))
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_draws_at_the_bound_take_the_exact_test(self, rng):
+        # Draws within 1e-10 of the bound pass the screen and are settled by
+        # the exact test, which rejects those below the bound and accepts the
+        # first one above it; draws far below it are screened out.  Opposite
+        # directions put the centers r1 + r2 apart.
+        radius, lim = 6.0, simulate.MIN_SEPARATION * 6.0
+
+        def draw(eps):
+            v = rng.standard_normal(3)
+            u = (lim * (1.0 + eps) / (2.0 * radius) - 0.95) / (1.05 - 0.95)
+            return [(v, u), (-2.0 * v, u)]
+
+        for _ in range(20):
+            near = [draw(-rng.uniform(1e-13, 1e-10)) for _ in range(rng.integers(1, 4))]
+            far = [draw(-rng.uniform(0.05, 0.5)) for _ in range(rng.integers(1, 4))]
+            script = [(near + far)[i] for i in rng.permutation(len(near) + len(far))]
+            script.append(draw(rng.uniform(1e-13, 1e-10)))
+            seps = [reference_separation([(v, 0.95 + (1.05 - 0.95) * u) for v, u in d], radius)[1] for d in near]
+            assert all(lim * (1.0 - 1e-9) < sep < lim for sep in seps)
+            stream = ScriptedStream([x for d in script for x in d])
+            pair = sample_camera_pair(stream, radius)
+            expected = reference_pair(ScriptedStream([x for d in script for x in d]), radius)
+            assert all(np.array_equal(a, b) for a, b in zip(pair, expected))
+            assert stream.queue == []
+            # Three dot products for each draw that the exact test settles.
+            assert len(stream.dots) == 3 * (len(near) + 1)
+
     def test_radius_shell_and_separation(self, rng):
         for _ in range(10):
             A1, A2 = sample_camera_pair(rng, 6.0)
@@ -173,16 +261,17 @@ class TestRunTrial:
 
     def test_always_ruled_geometry_exhausts_budget(self, monkeypatch):
         ruled = QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0))
-        monkeypatch.setattr(simulate, "classify", lambda Q: ruled)
+        monkeypatch.setattr(simulate, "_classify_stack", lambda Q: [ruled] * len(Q))
         monkeypatch.setattr(simulate, "MAX_GEOMETRY_ATTEMPTS", 20)
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=11)
         with pytest.raises(ExhaustedRetries):
             run_trial(cfg, 0)
 
     def test_gate_retries_after_a_failed_quadric(self, monkeypatch):
-        # A first pair whose quadric cannot be fitted is skipped like a first
-        # pair that classify rejects.  Trial 6 of seed 0 accepts its first
-        # pair, so both runs differ from the unpatched one.
+        # A first pair whose quadric cannot be fitted (the quadric core gives
+        # the zero matrix where a pencil fits) is skipped like a first pair
+        # that the classification rejects.  Trial 6 of seed 0 accepts its
+        # first pair, so both runs differ from the unpatched one.
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0)
 
         def failing_first(name, first):
@@ -195,8 +284,8 @@ class TestRunTrial:
             monkeypatch.setattr(simulate, name, patched)
             return calls
 
-        def raise_pencil():
-            raise PencilOfQuadrics("no unique quadric")
+        def pencil():
+            return np.zeros((1, 4, 4)), np.array([False])
 
         def geometry():
             g = simulate._geometry(cfg, 6)
@@ -204,14 +293,41 @@ class TestRunTrial:
             return g
 
         unpatched = geometry()
-        calls = failing_first("classify", lambda: QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0)))
+        calls = failing_first("_classify_stack", lambda: [QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0))])
         rejected = geometry()
         attempts = len(calls)
-        calls = failing_first("cube_quadric", raise_pencil)
+        calls = failing_first("_cube_quadrics", pencil)
         failed = geometry()
         assert len(calls) == attempts > 1
         assert all(np.array_equal(a, b) for a, b in zip(failed, rejected))
         assert not np.array_equal(failed[4], unpatched[4])
+
+    def test_geometry_matches_the_public_gate(self):
+        # Reference: the gate through the public functions, one focal_point
+        # per camera, cube_quadric, classify and fundamental_from_cameras, on
+        # the per-draw camera sampler.  The sweep's cores give the same
+        # verdicts, cameras and F_true bit for bit.
+        cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0)
+        for t in range(12):
+            cube_ss, cam_ss, noise_ss = np.random.SeedSequence([cfg.seed, t]).spawn(3)
+            cube_rng, cam_rng = np.random.default_rng(cube_ss), np.random.default_rng(cam_ss)
+            cube = random_combinatorial_cube(cube_rng)
+            for attempt in range(1, simulate.MAX_GEOMETRY_ATTEMPTS + 1):
+                if attempt % 16 == 0:
+                    cube = random_combinatorial_cube(cube_rng)
+                A1, A2 = reference_pair(cam_rng, simulate.CAMERA_RADIUS)
+                try:
+                    Q = cube_quadric(cube, focal_point(A1), focal_point(A2))
+                except EpicubeError:
+                    continue
+                if classify(Q).tag == NONRULED_NONDEGENERATE:
+                    break
+            X, Y = project_all(A1, cube.vertices), project_all(A2, cube.vertices)
+            z = np.random.default_rng(noise_ss).standard_normal((2, 8, 2))
+            F_true = fundamental_from_cameras(A1, A2)
+            expected = (simulate._seed_of(cube_ss), simulate._seed_of(cam_ss), z, F_true, X, Y)
+            got = simulate._geometry(cfg, t)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     def test_levels_are_common_random_numbers(self):
         # Each level of a sweep gives the records of a sweep at that level
