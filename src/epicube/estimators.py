@@ -26,8 +26,6 @@ from .projective import (
     dehomogenize,
     focal_point,
     homogenize,
-    proj_equal,
-    project,
 )
 
 # The estimators the noise sweep compares and the CLI offers, in record order.
@@ -88,25 +86,17 @@ def eight_point(X, Y):
 
 def fundamental_from_cameras(A1, A2):
     """Ground-truth F for a camera pair, via the epipole of A1's center."""
-    A1 = np.asarray(A1, dtype=float)
-    A2 = np.asarray(A2, dtype=float)
+    A1, A2 = np.asarray(A1, dtype=float), np.asarray(A2, dtype=float)
     return _fundamental(A1, A2, focal_point(A1), focal_point(A2))
 
 
 def _fundamental(A1, A2, c1, c2):
-    """fundamental_from_cameras of float cameras whose focal points are c1, c2."""
-    if proj_equal(c1, c2, tol=1e-9):
+    """fundamental_from_cameras with canonical centres c1, c2 (A2 @ c1 rounds as project)."""
+    if np.all(np.abs(c1 - c2) <= 1e-9):
         raise CoincidentCenters("camera centers coincide")
-    e2 = project(A2, c1)
-    ex = np.array(
-        [
-            [0.0, -e2[2], e2[1]],
-            [e2[2], 0.0, -e2[0]],
-            [-e2[1], e2[0], 0.0],
-        ]
-    )
-    F = ex @ A2 @ np.linalg.pinv(A1)
-    return canonical_fmatrix(F)
+    e2 = A2 @ c1
+    ex = np.array([[0.0, -e2[2], e2[1]], [e2[2], 0.0, -e2[0]], [-e2[1], e2[0], 0.0]])
+    return canonical_fmatrix(ex @ A2 @ np.linalg.pinv(A1))
 
 
 @dataclass

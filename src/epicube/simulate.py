@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import random_combinatorial_cube
+from .degeneracy import bracket, random_combinatorial_cube
 from .estimators import ALGOS, _estimate_all, _fundamental
 from .exceptions import ExhaustedRetries
 from .quadrics import NONRULED_NONDEGENERATE, _classify_stack, _cube_quadrics
@@ -59,8 +59,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValueError("trials must be an integer >= 1")
         if len(self.noise_levels) < 1:
             raise ValueError("need at least one noise level")
         if not all(0 <= n < math.inf for n in self.noise_levels):
@@ -154,6 +154,30 @@ def _seed_of(seq):
     return int(seq.generate_state(1)[0])
 
 
+def _surely_ruled(cube, A1, A2):
+    """True where the gate surely rejects cameras A1, A2: the sign of det Q
+    shows Q is not (3, 1); False leaves the pair to the gate.
+
+    Q is ``cube_quadric``'s in Python floats from the affine centres -R^T t;
+    through eight real points it is never definite, so det Q > 0 is ruled
+    (Sylvester).  Scaling a centre scales Q; the gate's SVD centres moved Q
+    by at most 1e-15 S on 10,000 sampled pairs, S = |c1|^2 |c2|^2.  With
+    ||Q||_F > 1e-4 S and det Q > 1e-8 ||Q||_F^4 each |eigenvalue| exceeds
+    1e-8 ||Q||_F > 1e-12 S, so the gate's Q has the same signs.
+    """
+    planes, ab, S = cube.planes.tolist(), [], 1.0
+    for r0, r1, r2 in (A1.tolist(), A2.tolist()):
+        x, y, z, _ = [-(u * r0[3] + v * r1[3] + w * r2[3]) for u, v, w in zip(r0, r1, r2)]
+        s = [p0 * x + p1 * y + p2 * z + p3 for p0, p1, p2, p3 in planes]
+        ab.append((s[0] * s[1], s[2] * s[3], s[4] * s[5]))
+        S *= x * x + y * y + z * z + 1.0
+    (a0, a1, a2), (b0, b1, b2) = ab
+    l0, l1, l2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    q = [l0 * u + l1 * v + l2 * w for u, v, w in zip(*cube.pencil.tolist())]
+    norm2 = sum(x * x for x in q)
+    return norm2 > 1e-8 * S * S and bracket(q[0:4], q[4:8], q[8:12], q[12:16]) > 1e-8 * norm2 * norm2
+
+
 def _geometry(cfg, trial_idx):
     """A trial's well-posed geometry and noise draw: (cube_seed, cam_seed,
     z, F_true, X, Y), z the standard normals that perturb X, then Y."""
@@ -170,6 +194,8 @@ def _geometry(cfg, trial_idx):
         if attempt % 16 == 0:
             cube = random_combinatorial_cube(cube_rng)
         A1, A2 = sample_camera_pair(cam_rng, CAMERA_RADIUS)
+        if _surely_ruled(cube, A1, A2):
+            continue
         # A pencil of quadrics leaves the zero matrix, which is DEGENERATE.
         c = _focal_points(np.array([A1, A2]))
         if _classify_stack(_cube_quadrics(cube, c)[0])[0].tag == NONRULED_NONDEGENERATE:

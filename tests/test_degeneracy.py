@@ -13,6 +13,7 @@ from epicube.degeneracy import (
     UNIT_CUBE_VERTICES,
     CubeConfig,
     _integer_cube,
+    _surely_nonconvex,
     bracket,
     build_Z,
     invariant_terms,
@@ -171,6 +172,29 @@ class TestCombinatorialCube:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.3
 
+    def test_value_semantics(self):
+        # Cubes compare and hash by their vertices; planes and pencil derive
+        # from them.
+        a, b = unit_cube(), CubeConfig(UNIT_CUBE_VERTICES * 0.5)
+        assert a == unit_cube() and not a != unit_cube()
+        assert a != b and not a == b
+        assert len({a, unit_cube(), b}) == 2
+        assert unit_cube() in [b, a] and unit_cube() not in [b]
+        assert hash(a) == hash(unit_cube())
+        # A non-cube compares False: NotImplemented would hand an array to
+        # numpy, whose elementwise answer has no truth value.
+        assert a != UNIT_CUBE_VERTICES and a != "cube" and a != None  # noqa: E711
+        assert [a] != [UNIT_CUBE_VERTICES]
+
+    def test_signed_zeros_hash_alike(self):
+        # -0.0 == 0.0, so cubes that differ only there are equal and must
+        # hash alike.
+        V = UNIT_CUBE_VERTICES + [1.0, 0.0, 0.0, 0.0]
+        W = V.copy()
+        W[V == 0.0] = -0.0
+        assert np.signbit(W).any()
+        assert CubeConfig(V) == CubeConfig(W) and hash(CubeConfig(V)) == hash(CubeConfig(W))
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e170, 1e300])
     def test_extreme_scales(self, scale):
         ok, diag = is_combinatorial_cube(UNIT_CUBE_VERTICES * scale)
@@ -241,6 +265,56 @@ class TestReferenceConvexity:
     @settings(max_examples=300, deadline=None)
     def test_matches_bracket_reference(self, V):
         assert is_combinatorial_cube(V) == reference_is_combinatorial_cube(V)
+
+
+def reference_random_cube(rng):
+    """random_combinatorial_cube without the integer screen: CubeConfig
+    checks every candidate."""
+    for _ in range(degeneracy.MAX_CUBE_CANDIDATES):
+        try:
+            nums, dens = _integer_cube(rng, True)
+            return CubeConfig(np.array([[n / d for n, d in zip(row, dens)] + [1.0] for row in nums]))
+        except (DegenerateIntersection, ValueError):
+            continue
+    raise ExhaustedRetries("no valid cube")
+
+
+class TestConvexityScreen:
+    def test_sampler_matches_the_unscreened_one(self):
+        # The screen changes no cube and no generator state.
+        for seed in range(500):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_combinatorial_cube(fast) == reference_random_cube(slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_rejects_only_what_the_check_rejects(self):
+        # Every candidate the integer screen rejects fails CubeConfig, on
+        # 5,000 candidates; the screen rejects most and passes some.
+        rng = np.random.default_rng(17)
+        verdicts = []
+        while len(verdicts) < 5000:
+            try:
+                nums, dens = _integer_cube(rng, True)
+            except DegenerateIntersection:
+                continue
+            screened = _surely_nonconvex(nums)
+            if screened:
+                with pytest.raises(ValueError, match="not a combinatorial cube"):
+                    CubeConfig(np.array([[n / d for n, d in zip(row, dens)] + [1.0] for row in nums]))
+            verdicts.append(screened)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_vertex_on_or_across_a_facet_plane(self):
+        # Tilting the unit cube's top facet to z = 1 + a x + b y keeps every
+        # facet planar.  a = -1, b = 1 puts vertex 6 on the bottom facet's
+        # plane z = -1 (a zero value), and a = -2 below it (a sign change);
+        # the screen and the check both reject either.
+        bottom = [[-1, -1, -1], [1, 1, -1], [-1, 1, -1], [1, -1, -1]]
+        top = [[1, -1], [-1, 1], [1, 1], [-1, -1]]
+        for a, b, rejected in ((0, 0, False), (-1, 1, True), (-2, 1, True)):
+            nums = bottom + [[x, y, 1 + a * x + b * y] for x, y in top]
+            assert _surely_nonconvex(nums) == rejected
+            assert is_combinatorial_cube(np.array([row + [1] for row in nums], dtype=float))[0] != rejected
 
 
 class TestRandomCube:

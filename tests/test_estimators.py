@@ -40,6 +40,7 @@ from epicube.projective import (
     grassmann_angle,
     homogenize,
     proj_equal,
+    project,
     project_all,
 )
 from epicube.quadrics import NONRULED_NONDEGENERATE, classify, quadric_through_points
@@ -491,6 +492,23 @@ class TestFundamentalFromCameras:
         A = standard_instance["A1"]
         with pytest.raises(CoincidentCenters):
             fundamental_from_cameras(A, 3.0 * A)
+
+    def test_matches_the_checked_expression(self, rng):
+        # Reference: the expression with proj_equal and project, which check
+        # their inputs again.  The sweep's look-at pairs and generic cameras
+        # over twelve orders of magnitude give the same F bit for bit.
+        def reference(A1, A2):
+            c1, c2 = focal_point(A1), focal_point(A2)
+            if proj_equal(c1, c2, tol=1e-9):
+                raise CoincidentCenters("camera centers coincide")
+            e2 = project(A2, c1)
+            ex = np.array([[0.0, -e2[2], e2[1]], [e2[2], 0.0, -e2[0]], [-e2[1], e2[0], 0.0]])
+            return canonical_fmatrix(ex @ A2 @ np.linalg.pinv(A1))
+
+        pairs = [sample_camera_pair(rng, 6.0) for _ in range(1000)]
+        pairs += list(rng.standard_normal((500, 2, 3, 4)) * 10.0 ** rng.uniform(-6, 6, (500, 1, 1, 1)))
+        for A1, A2 in pairs:
+            assert np.array_equal(fundamental_from_cameras(A1, A2), reference(A1, A2))
 
 
 class TestPencilSolve:

@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 from epicube import simulate
-from epicube.degeneracy import random_combinatorial_cube
+from epicube.degeneracy import random_combinatorial_cube, unit_cube
 from epicube.estimators import fundamental_from_cameras
 from epicube.exceptions import EpicubeError, ExhaustedRetries
-from epicube.projective import dehomogenize, focal_point, homogenize, proj_equal, project_all
-from epicube.quadrics import NONRULED_NONDEGENERATE, RULED_NONDEGENERATE, QuadricClass, classify, cube_quadric
+from epicube.projective import _focal_points, dehomogenize, focal_point, homogenize, proj_equal, project_all
+from epicube.quadrics import (
+    DEGENERATE,
+    NONRULED_NONDEGENERATE,
+    RULED_NONDEGENERATE,
+    QuadricClass,
+    _classify_stack,
+    _cube_quadrics,
+    classify,
+    cube_quadric,
+)
 from epicube.simulate import (
     ALGOS,
     CSV_HEADER,
@@ -228,6 +237,11 @@ class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
+        # A fractional count would fail later, inside range.
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="integer"):
+                ExperimentConfig(trials=bad)
+        assert ExperimentConfig(trials=np.int64(3)).trials == 3
         with pytest.raises(ValueError):
             ExperimentConfig(noise_levels=(-0.1,))
         with pytest.raises(ValueError):
@@ -308,7 +322,7 @@ class TestRunTrial:
         # the per-draw camera sampler.  The sweep's cores give the same
         # verdicts, cameras and F_true bit for bit.
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0)
-        for t in range(12):
+        for t in range(40):
             cube_ss, cam_ss, noise_ss = np.random.SeedSequence([cfg.seed, t]).spawn(3)
             cube_rng, cam_rng = np.random.default_rng(cube_ss), np.random.default_rng(cam_ss)
             cube = random_combinatorial_cube(cube_rng)
@@ -338,6 +352,59 @@ class TestRunTrial:
         for lv in cfg.noise_levels:
             alone = run_noise_sweep(replace(cfg, noise_levels=(lv,)))
             assert repr([r for r in records if r.noise == lv]) == repr(alone)
+
+
+class TestRuledScreen:
+    def test_rejects_only_what_the_gate_rejects(self):
+        # Every pair the det Q screen rejects is rejected by the gate, on
+        # 5,000 sampled pairs with a fresh cube every 10; the screen rejects
+        # most of them and passes some.
+        rng = np.random.default_rng(23)
+        verdicts = []
+        for i in range(5000):
+            if i % 10 == 0:
+                cube = random_combinatorial_cube(rng)
+            A1, A2 = sample_camera_pair(rng, simulate.CAMERA_RADIUS)
+            screened = simulate._surely_ruled(cube, A1, A2)
+            if screened:
+                Q, _ = _cube_quadrics(cube, _focal_points(np.array([A1, A2])))
+                assert _classify_stack(Q)[0].tag != NONRULED_NONDEGENERATE
+            verdicts.append(screened)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_near_pencil_pairs_go_to_the_gate(self, rng):
+        # Centres c and -c + 1e-5 d nearly see the unit cube's planes alike,
+        # so Q is near a pencil, ||Q||_F << |c1|^2 |c2|^2, and its rounding
+        # is no longer small against it: the screen leaves these to the gate
+        # even where det Q alone would decide.
+        decided = 0
+        for _ in range(200):
+            c = rng.standard_normal(3)
+            c *= simulate.CAMERA_RADIUS / np.linalg.norm(c)
+            pair = look_at_camera(c), look_at_camera(-c + 1e-5 * rng.standard_normal(3))
+            assert not simulate._surely_ruled(unit_cube(), *pair)
+            Q = _cube_quadrics(unit_cube(), _focal_points(np.array(pair)))[0][0]
+            decided += np.linalg.det(Q) > 1e-8 * np.linalg.norm(Q) ** 4
+        assert decided > 0
+
+    def test_zero_quadric_reaches_the_gate(self, monkeypatch):
+        # Both centres on the line where the unit cube's facet planes z = -1
+        # and y = -1 meet: a pencil of quadrics fits, Q is zero, and the
+        # screen leaves the pair to the gate, which finds it DEGENERATE.
+        pair = look_at_camera([6.0, -1.0, -1.0]), look_at_camera([-6.0, -1.0, -1.0])
+        assert not simulate._surely_ruled(unit_cube(), *pair)
+        Q, ok = _cube_quadrics(unit_cube(), _focal_points(np.array(pair)))
+        assert not ok[0] and _classify_stack(Q)[0].tag == DEGENERATE
+        # In the sweep's loop: the first pair of a trial on the unit cube
+        # reaches the quadric core.
+        sampler, seen = simulate.sample_camera_pair, []
+        quadrics = simulate._cube_quadrics
+        monkeypatch.setattr(simulate, "random_combinatorial_cube", lambda rng: unit_cube())
+        monkeypatch.setattr(simulate, "sample_camera_pair", lambda rng, r: pair if not seen else sampler(rng, r))
+        monkeypatch.setattr(simulate, "_cube_quadrics", lambda C, c: seen.append(c) or quadrics(C, c))
+        simulate._geometry(ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0), 0)
+        assert np.array_equal(seen[0], _focal_points(np.array(pair)))
+        assert len(seen) > 1
 
 
 class TestSweep:
