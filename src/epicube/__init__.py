@@ -35,7 +35,6 @@ from .projective import (
     focal_point,
     grassmann_angle,
     proj_equal,
-    project,
     project_all,
 )
 from .quadrics import (

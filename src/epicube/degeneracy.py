@@ -132,6 +132,11 @@ def veronese_lift(P):
     return P[:, VERONESE_I] * P[:, VERONESE_J]
 
 
+def _cross3(a, b):
+    """a x b over any ring, rounded as np.cross rounds it; (3, n) stacks give n."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def cross4(a, b, c):
     """Generalized cross product in 4 coordinates, over any ring.
 

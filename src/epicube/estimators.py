@@ -91,7 +91,7 @@ def fundamental_from_cameras(A1, A2):
 
 
 def _fundamental(A1, A2, c1, c2):
-    """fundamental_from_cameras with canonical centres c1, c2 (A2 @ c1 rounds as project)."""
+    """fundamental_from_cameras with canonical centres c1, c2 (A2 @ c1 rounds as project_all)."""
     if np.all(np.abs(c1 - c2) <= 1e-9):
         raise CoincidentCenters("camera centers coincide")
     e2 = A2 @ c1
@@ -115,12 +115,6 @@ class PencilSolution:
         return self.candidates[i[0]], float(residual[0])
 
 
-def _first_best(residuals):
-    """Index of the first residual within RESIDUAL_TIE_TOL of the least,
-    along the last axis."""
-    return (residuals - residuals.min(axis=-1, keepdims=True) < RESIDUAL_TIE_TOL).argmax(axis=-1)
-
-
 def _select(candidates, Xu, Yu):
     """The selection rule: each instance of an (N, k, 3, 3) NaN-padded
     candidate stack keeps its first candidate within RESIDUAL_TIE_TOL of the
@@ -131,7 +125,7 @@ def _select(candidates, Xu, Yu):
     residuals[n, k] = _residuals(candidates[n, k], Xu[n], Yu[n])
     # A row of infs gives inf - inf.
     with np.errstate(invalid="ignore"):
-        best = _first_best(residuals)
+        best = (residuals - residuals.min(axis=1, keepdims=True) < RESIDUAL_TIE_TOL).argmax(axis=1)
     return best, residuals[np.arange(len(residuals)), best]
 
 

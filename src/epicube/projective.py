@@ -101,14 +101,6 @@ def homogenize(pts):
     return np.concatenate([arr, np.ones(arr.shape[:-1] + (1,))], axis=-1)
 
 
-def project(camera, p):
-    """Project a world point through a 3x4 camera.
-
-    Raises FocalPointProjection when p is the camera center.
-    """
-    return project_all(camera, as_point(p, 4))[0]
-
-
 def project_all(camera, P):
     """Project an (n, 4) world configuration; returns (n, 3) image points.
 
@@ -153,14 +145,12 @@ def canonical_fmatrix(F):
 
 
 def epipolar_residual(F, X, Y):
-    """Scale-invariant algebraic residual sum((Y_i^T F X_i)^2): a float for a
-    3x3 F, k residuals from one einsum for a (k, 3, 3) stack.  Each F is
-    normalized to unit Frobenius norm and every point to unit Euclidean norm
-    before evaluating the bilinear forms.
-    """
+    """Scale-invariant algebraic residual sum((Y_i^T F X_i)^2) of a 3x3 F,
+    with F at unit Frobenius norm and every point at unit Euclidean norm."""
     F = np.asarray(F, dtype=float)
-    r = _residuals(F if F.ndim == 3 else F[None], *_unit_pairs(X, Y))
-    return r if F.ndim == 3 else float(r[0])
+    if F.shape != (3, 3):
+        raise ValueError(f"fundamental matrix must be 3x3, got {F.shape}")
+    return float(_residuals(F[None], *_unit_pairs(X, Y))[0])
 
 
 def _unit_pairs(X, Y):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import bracket, random_combinatorial_cube
+from .degeneracy import _cross3, bracket, random_combinatorial_cube
 from .estimators import ALGOS, _estimate_all, _fundamental
 from .exceptions import ExhaustedRetries
 from .quadrics import NONRULED_NONDEGENERATE, _classify_stack, _cube_quadrics
@@ -59,10 +59,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise ValueError("trials must be an integer >= 1")
-        if len(self.noise_levels) < 1:
-            raise ValueError("need at least one noise level")
+        for name, least in (("trials", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
+        if np.ndim(self.noise_levels) != 1 or len(self.noise_levels) < 1:
+            raise ValueError("noise_levels must be a sequence of at least one level")
         if not all(0 <= n < math.inf for n in self.noise_levels):
             raise ValueError("noise levels must be finite and nonnegative")
 
@@ -71,24 +73,25 @@ def look_at_camera(f):
     """Camera [R | -R f] at affine center f, principal axis toward origin."""
     f = np.asarray(f, dtype=float).reshape(3)
     z = -f / np.linalg.norm(f)
-    z0, z1, z2 = z.tolist()
-    u0, u1, u2 = (0.0, 1.0, 0.0) if abs(z2) > 0.99 else (0.0, 0.0, 1.0)
-    # up x z and z x x written out as np.cross computes them, each product
-    # rounded on its own: np.cross costs about 20 us per call.
-    x = np.array([u1 * z2 - u2 * z1, u2 * z0 - u0 * z2, u0 * z1 - u1 * z0])
+    up = (0.0, 1.0, 0.0) if abs(z[2]) > 0.99 else (0.0, 0.0, 1.0)
+    # up x z and z x x in Python floats: np.cross costs about 20 us per call.
+    x = np.array(_cross3(up, z.tolist()))
     x /= math.sqrt(x.dot(x))
-    x0, x1, x2 = x.tolist()
-    R = np.array([x, [z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0], z])
+    R = np.array([x, _cross3(z.tolist(), x.tolist()), z])
     return np.hstack([R, (-R @ f)[:, None]])
 
 
 def sample_camera_pair(rng, radius):
-    """Two look-at cameras with centers on a +-5% shell of the radius.
+    """Two look-at cameras, at the centres that ``_camera_centres`` draws."""
+    return tuple(map(look_at_camera, _camera_centres(rng, radius)))
 
-    Resamples until the centers are at least 1.97 * radius apart
-    (wide-baseline pairs viewing the scene from nearly opposite sides).
-    Narrow baselines amplify image noise dramatically in the near-critical
-    cube geometry.  Raises ExhaustedRetries after MAX_CAMERA_DRAWS draws.
+
+def _camera_centres(rng, radius):
+    """Two affine camera centres on a +-5% shell of the radius, resampled
+    until they are at least 1.97 * radius apart (wide-baseline pairs viewing
+    the scene from nearly opposite sides): narrow baselines amplify image
+    noise dramatically in the near-critical cube geometry.  Raises
+    ExhaustedRetries after MAX_CAMERA_DRAWS draws.
 
     Each draw makes rng.standard_normal(3) and rng.random() per center, in
     that order; 0.95 + (1.05 - 0.95) * random() is rng.uniform(0.95, 1.05)
@@ -121,7 +124,7 @@ def sample_camera_pair(rng, radius):
         c2 = r2 * (v2 / math.sqrt(v2.dot(v2)))
         d = c1 - c2
         if math.sqrt(d.dot(d)) >= lim:
-            return look_at_camera(c1), look_at_camera(c2)
+            return c1, c2
     raise ExhaustedRetries(f"no separated camera pair in {MAX_CAMERA_DRAWS} draws")
 
 
@@ -154,25 +157,24 @@ def _seed_of(seq):
     return int(seq.generate_state(1)[0])
 
 
-def _surely_ruled(cube, A1, A2):
-    """True where the gate surely rejects cameras A1, A2: the sign of det Q
-    shows Q is not (3, 1); False leaves the pair to the gate.
+def _surely_ruled(cube, c1, c2):
+    """True where the gate surely rejects the cameras at affine centres c1,
+    c2: the sign of det Q shows Q is not (3, 1); False leaves the pair to it.
 
-    Q is ``cube_quadric``'s in Python floats from the affine centres -R^T t;
+    Q is ``cube_quadric``'s in Python floats from the sampled centres;
     through eight real points it is never definite, so det Q > 0 is ruled
-    (Sylvester).  Scaling a centre scales Q; the gate's SVD centres moved Q
-    by at most 1e-15 S on 10,000 sampled pairs, S = |c1|^2 |c2|^2.  With
+    (Sylvester).  Scaling a centre scales Q; on 30,000 sampled pairs the
+    gate's SVD centres moved no entry of Q by more than 1.7e-15 S, S =
+    |(c1, 1)|^2 |(c2, 1)|^2, so no eigenvalue by more than 7e-15 S.  With
     ||Q||_F > 1e-4 S and det Q > 1e-8 ||Q||_F^4 each |eigenvalue| exceeds
     1e-8 ||Q||_F > 1e-12 S, so the gate's Q has the same signs.
     """
     planes, ab, S = cube.planes.tolist(), [], 1.0
-    for r0, r1, r2 in (A1.tolist(), A2.tolist()):
-        x, y, z, _ = [-(u * r0[3] + v * r1[3] + w * r2[3]) for u, v, w in zip(r0, r1, r2)]
+    for x, y, z in (c1.tolist(), c2.tolist()):
         s = [p0 * x + p1 * y + p2 * z + p3 for p0, p1, p2, p3 in planes]
         ab.append((s[0] * s[1], s[2] * s[3], s[4] * s[5]))
         S *= x * x + y * y + z * z + 1.0
-    (a0, a1, a2), (b0, b1, b2) = ab
-    l0, l1, l2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    l0, l1, l2 = _cross3(*ab)
     q = [l0 * u + l1 * v + l2 * w for u, v, w in zip(*cube.pencil.tolist())]
     norm2 = sum(x * x for x in q)
     return norm2 > 1e-8 * S * S and bracket(q[0:4], q[4:8], q[8:12], q[12:16]) > 1e-8 * norm2 * norm2
@@ -193,9 +195,10 @@ def _geometry(cfg, trial_idx):
         # well-posed (a fresh cube every 16 camera draws).
         if attempt % 16 == 0:
             cube = random_combinatorial_cube(cube_rng)
-        A1, A2 = sample_camera_pair(cam_rng, CAMERA_RADIUS)
-        if _surely_ruled(cube, A1, A2):
+        c1, c2 = _camera_centres(cam_rng, CAMERA_RADIUS)
+        if _surely_ruled(cube, c1, c2):
             continue
+        A1, A2 = look_at_camera(c1), look_at_camera(c2)
         # A pencil of quadrics leaves the zero matrix, which is DEGENERATE.
         c = _focal_points(np.array([A1, A2]))
         if _classify_stack(_cube_quadrics(cube, c)[0])[0].tag == NONRULED_NONDEGENERATE:

@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from epicube.degeneracy import (
     FACETS,
     UNIT_CUBE_VERTICES,
     CubeConfig,
+    _cross3,
     _integer_cube,
     _surely_nonconvex,
     bracket,
@@ -45,6 +47,34 @@ class TestVeronese:
 
     def test_cube_veronese_rank_drops_to_seven(self):
         assert numerical_rank(veronese_matrix(UNIT_CUBE_VERTICES)) == 7
+
+    def test_needs_a_point(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            veronese_matrix(np.zeros((0, 4)))
+
+
+class TestCross3:
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=6, max_size=6), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_rounds_as_np_cross(self, xs, n):
+        # Bit for bit, signed zeros included, on vectors and on the (3, n)
+        # stacks that the quadric core passes.
+        a, b = xs[:3], xs[3:]
+        assert np.array(_cross3(a, b)).tobytes() == np.cross(a, b).tobytes()
+        B = np.array([b] + [xs[i : i + 3] for i in range(n - 1)])
+        assert np.stack(_cross3(np.array(a), B.T), axis=1).tobytes() == np.cross(a, B).tobytes()
+
+    @given(st.lists(st.integers(-(10**30), 10**30), min_size=9, max_size=9), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_on_ints_and_fractions(self, xs, fractions):
+        if fractions:
+            xs = [Fraction(x, i + 2) for i, x in enumerate(xs)]
+        a, b, x = xs[0:3], xs[3:6], xs[6:9]
+        c = _cross3(a, b)
+        assert all(type(v) is type(xs[0]) for v in c)
+        assert sum(u * v for u, v in zip(c, a)) == 0 and sum(u * v for u, v in zip(c, b)) == 0
+        # x . (a x b) = det [x; a; b].
+        assert sum(u * v for u, v in zip(c, x)) == bracket([*x, 0], [*a, 0], [*b, 0], [0, 0, 0, 1])
 
 
 class TestBuildZ:
@@ -142,6 +172,11 @@ class TestCombinatorialCube:
             cube = random_combinatorial_cube(rng)
             assert np.array_equal(cube.planes, per_facet_planes(cube.vertices))
             assert np.array_equal(CubeConfig(cube.vertices).planes, cube.planes)
+
+    def test_vertex_at_infinity_fails(self):
+        V = UNIT_CUBE_VERTICES.copy()
+        V[6] = [1.0, 1.0, 1.0, 0.0]
+        assert is_combinatorial_cube(V) == (False, {"affine": False, "coplanar": [], "strict_side": []})
 
     def test_non_cube_rejected(self):
         # Eight uniform points: no facet is coplanar.
@@ -332,6 +367,17 @@ class TestRandomCube:
             _integer_cube(rng, True)
         with pytest.raises(ExhaustedRetries):
             random_combinatorial_cube(rng)
+
+    def test_candidate_budget_raises_exhausted_retries(self, rng, monkeypatch):
+        # Every candidate puts vertex 6 on the bottom facet's plane, so the
+        # integer screen rejects each one and the candidate budget runs out.
+        bottom = [[-1, -1, -1], [1, 1, -1], [-1, 1, -1], [1, -1, -1]]
+        nums = bottom + [[x, y, 1 - x + y] for x, y in ((1, -1), (-1, 1), (1, 1), (-1, -1))]
+        drawn = []
+        monkeypatch.setattr(degeneracy, "_integer_cube", lambda rng, apply_map: drawn.append(1) or (nums, [2, 2, 2]))
+        with pytest.raises(ExhaustedRetries, match="no valid cube"):
+            random_combinatorial_cube(rng)
+        assert len(drawn) == degeneracy.MAX_CUBE_CANDIDATES
 
     def test_image_rank_drop(self, rng):
         # The central claim: Z of any cube image has rank at most 7.

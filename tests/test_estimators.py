@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epicube import estimators
 from epicube.degeneracy import build_Z, kernel_basis, random_combinatorial_cube
 from epicube.estimators import (
     ALGOS,
     RESIDUAL_TIE_TOL,
     PencilSolution,
     _estimate_all,
-    _first_best,
     _select,
     cube_eight_point,
     eckart_young_rank7,
@@ -32,6 +32,7 @@ from epicube.exceptions import (
     NoRealRoot,
 )
 from epicube.projective import (
+    _residuals,
     _unit_rows,
     as_points,
     canonical_fmatrix,
@@ -40,7 +41,6 @@ from epicube.projective import (
     grassmann_angle,
     homogenize,
     proj_equal,
-    project,
     project_all,
 )
 from epicube.quadrics import NONRULED_NONDEGENERATE, classify, quadric_through_points
@@ -255,15 +255,18 @@ class TestStackedPencilMatchesScalar:
         assert resid == epipolar_residual(G, X, Y)
 
     def test_residual_stack_equals_scalar_calls(self, rng):
+        # The core that _select runs scores a (k, 3, 3) stack in one einsum,
+        # on shared points or on one point stack per matrix, as
+        # epipolar_residual scores each matrix.
         X, Y = rng.standard_normal((2, 8, 3))
         stack = rng.standard_normal((3, 3, 3))
-        residuals = epipolar_residual(stack, X, Y)
+        Xu, Yu = _unit_rows(X), _unit_rows(Y)
+        residuals = _residuals(stack, Xu, Yu)
         assert residuals.shape == (3,)
         assert np.array_equal(residuals, [epipolar_residual(F, X, Y) for F in stack])
         assert np.array_equal(residuals, [reference_residual(F, X, Y) for F in stack])
+        assert np.array_equal(residuals, _residuals(stack, np.tile(Xu, (3, 1, 1)), np.tile(Yu, (3, 1, 1))))
         assert type(epipolar_residual(stack[0], X, Y)) is float
-        with pytest.raises(ValueError):
-            epipolar_residual(rng.standard_normal((3, 3, 4)), X, Y)
 
 
 def special_pencils():
@@ -350,12 +353,17 @@ class TestStackedCore:
             assert out[~np.isnan(out)].tolist() == reference_dedup(row[~np.isnan(row)].tolist())
         assert np.isnan(kept[-1]).tolist() == [False, True, False]
 
-    def test_first_best_takes_the_first_near_tie(self):
+    def test_select_takes_the_first_near_tie(self, monkeypatch):
         # Within RESIDUAL_TIE_TOL of the least residual the lower index wins,
-        # even over a strictly smaller residual.
+        # even over a strictly smaller residual.  A stub scores the
+        # candidates, and NaN padding gives the third instance one.
         residuals = np.array([[3e-14, 2.5e-14, 1e-14], [5.0, 1.0 + 4e-15, 1.0], [2.0, np.inf, np.inf]])
-        assert _first_best(residuals).tolist() == [2, 1, 0]
-        assert _first_best(residuals[1]) == 1
+        candidates = np.zeros((3, 3, 3, 3))
+        candidates[2, 1:] = np.nan
+        monkeypatch.setattr(estimators, "_residuals", lambda F, Xu, Yu: residuals[np.isfinite(residuals)])
+        best, chosen = _select(candidates, np.ones((3, 8, 3)), np.ones((3, 8, 3)))
+        assert best.tolist() == [2, 1, 0]
+        assert chosen.tolist() == [1e-14, 1.0 + 4e-15, 2.0]
 
     def test_select_keeps_the_tie_rule(self, rng):
         # Each instance's near-tie between a candidate and its 1e-15
@@ -369,7 +377,8 @@ class TestStackedCore:
         for row, i, r in zip(stack, best, residual):
             F, ref = reference_best(list(row), X, Y)
             assert np.array_equal(F, row[i]) and r == ref
-        assert (epipolar_residual(H, X, Y) < epipolar_residual(G, X, Y)).any()
+        Xu, Yu = _unit_rows(X), _unit_rows(Y)
+        assert (_residuals(H, Xu, Yu) < _residuals(G, Xu, Yu)).any()
 
     def test_select_without_candidates(self, rng):
         # An instance whose candidates are all NaN padding gets residual inf,
@@ -460,6 +469,10 @@ class TestHartleyNormalize:
         with pytest.raises(DegenerateCloud):
             hartley_normalize(pts)
 
+    def test_one_point_raises(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            hartley_normalize([[1.0, 2.0, 1.0]])
+
 
 class TestEightPoint:
     def test_recovers_f_for_generic_points(self, rng):
@@ -494,14 +507,14 @@ class TestFundamentalFromCameras:
             fundamental_from_cameras(A, 3.0 * A)
 
     def test_matches_the_checked_expression(self, rng):
-        # Reference: the expression with proj_equal and project, which check
+        # Reference: the expression with proj_equal and project_all, which check
         # their inputs again.  The sweep's look-at pairs and generic cameras
         # over twelve orders of magnitude give the same F bit for bit.
         def reference(A1, A2):
             c1, c2 = focal_point(A1), focal_point(A2)
             if proj_equal(c1, c2, tol=1e-9):
                 raise CoincidentCenters("camera centers coincide")
-            e2 = project(A2, c1)
+            e2 = project_all(A2, [c1])[0]
             ex = np.array([[0.0, -e2[2], e2[1]], [e2[2], 0.0, -e2[0]], [-e2[1], e2[0], 0.0]])
             return canonical_fmatrix(ex @ A2 @ np.linalg.pinv(A1))
 

@@ -63,6 +63,15 @@ class TestExactDet:
     def test_matches_cofactor_4x4(self, rows):
         assert exact_det(rows) == cofactor_det(rows)
 
+    @pytest.mark.parametrize(
+        "M, message",
+        [([[1, 2], [3]], "equal length"), ([[1, 2, 3], [4, 5, 6]], "square matrix")],
+        ids=["ragged", "non-square"],
+    )
+    def test_rejects_what_has_no_determinant(self, M, message):
+        with pytest.raises(ValueError, match=message):
+            exact_det(M)
+
     def test_identity(self):
         assert exact_det([[1, 0], [0, 1]]) == 1
 
@@ -258,6 +267,10 @@ class TestBoundary:
     def test_rejects_with_value_error(self, call):
         with pytest.raises(ValueError):
             call()
+
+    def test_invariant_needs_ten_points(self):
+        with pytest.raises(ValueError, match="10-point"):
+            exact_turnbull_young([[1, 2, 3, 4]] * 9)
 
 
 class TestConfigTen:

@@ -19,7 +19,6 @@ from epicube.projective import (
     grassmann_angle,
     homogenize,
     proj_equal,
-    project,
     project_all,
 )
 from epicube.simulate import sample_camera_pair
@@ -44,6 +43,11 @@ class TestValidation:
             as_point([1.0, bad, 1.0], 3)
         with pytest.raises(ValueError, match="finite"):
             as_points([[1.0, 0.0, 1.0], [bad, 0.0, 1.0]], 3)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (2, 5, 3)])
+    def test_as_points_shape(self, shape):
+        with pytest.raises(ValueError, match="points, got shape"):
+            as_points(np.ones(shape), 3)
 
 
 class TestCanon:
@@ -100,7 +104,7 @@ class TestCamera:
     def test_project_matches_matrix_action(self, standard_instance):
         A1 = standard_instance["A1"]
         for v, x in zip(standard_instance["cube"], standard_instance["X"]):
-            assert np.allclose(project(A1, v), x)
+            assert np.allclose(project_all(A1, [v])[0], x)
 
     def test_project_all(self, standard_instance):
         X = project_all(standard_instance["A1"], standard_instance["cube"])
@@ -109,7 +113,7 @@ class TestCamera:
     def test_project_focal_point_raises(self, standard_instance):
         c = focal_point(standard_instance["A1"])
         with pytest.raises(FocalPointProjection):
-            project(standard_instance["A1"], c)
+            project_all(standard_instance["A1"], [c])
 
     @pytest.mark.parametrize("row", range(8))
     def test_project_all_focal_point_raises(self, standard_instance, row):
@@ -127,10 +131,10 @@ class TestCamera:
         X = project_all(A, P)
         assert proj_equal(project_all(A, P * scale), X)
         assert proj_equal(project_all(A * scale, P), X)
-        assert np.array_equal(project(A, P[0] * scale), A @ (P[0] * scale))
+        assert np.array_equal(project_all(A, [P[0] * scale])[0], A @ (P[0] * scale))
         for cam, c in ((A, focal_point(A) * scale), (A * scale, focal_point(A))):
             with pytest.raises(FocalPointProjection):
-                project(cam, c)
+                project_all(cam, [c])
             with pytest.raises(FocalPointProjection):
                 project_all(cam, np.vstack([P, c]))
 
@@ -159,6 +163,11 @@ class TestCamera:
         with pytest.raises(RankDeficientCamera):
             focal_point(A)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (2, 3, 4), (12,)])
+    def test_focal_point_needs_a_3x4_camera(self, shape):
+        with pytest.raises(ValueError, match="3x4"):
+            focal_point(np.ones(shape))
+
     def test_stack_is_focal_point_bit_for_bit(self, rng, standard_instance):
         # One SVD of a stack gives each camera's centre as focal_point does,
         # for a pair of look-at cameras as the sweep's gate stacks them too.
@@ -184,6 +193,11 @@ class TestFmatrix:
         assert np.isclose(np.linalg.norm(Fc), 1.0)
         assert proj_equal(F, Fc)
 
+    @pytest.mark.parametrize("shape", [(9,), (3, 4), (1, 3, 3)])
+    def test_canonical_needs_a_3x3_matrix(self, shape):
+        with pytest.raises(ValueError, match="3x3"):
+            canonical_fmatrix(np.ones(shape))
+
 
 class TestResidual:
     def test_zero_on_noise_free(self, standard_instance):
@@ -205,6 +219,17 @@ class TestResidual:
                 standard_instance["X"][:4],
                 standard_instance["Y"],
             )
+
+    def test_no_correspondences(self, standard_instance):
+        with pytest.raises(ValueError, match="at least one correspondence"):
+            epipolar_residual(standard_instance["F"], np.zeros((0, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 4), (2, 3, 3)])
+    def test_needs_one_3x3_matrix(self, standard_instance, shape):
+        # A stack of matrices is not a fundamental matrix either; stacks
+        # are scored by the private core that _select runs.
+        with pytest.raises(ValueError, match="3x3"):
+            epipolar_residual(np.ones(shape), standard_instance["X"], standard_instance["Y"])
 
 
 class TestGrassmannAngle:

@@ -103,6 +103,10 @@ class TestInertiaClassify:
             T = rng.standard_normal((4, 4))
         assert classify(T.T @ Q @ T).tag == classify(Q).tag
 
+    def test_zero_raises(self):
+        with pytest.raises(ValueError, match="zero quadric"):
+            classify(np.zeros((4, 4)))
+
     def test_asymmetric_raises(self):
         M = np.eye(4)
         M[0, 1] = 1.0
@@ -263,6 +267,11 @@ class TestDelta1:
         with pytest.raises(AtInfinity):
             delta1_coordinates([1.0, 0.0, 0.0, 0.0], F2)
 
+    def test_coincident_focal_points(self):
+        # Equal rows leave the delta minor at zero.
+        with pytest.raises(AtInfinity, match="delta minor"):
+            delta1_coordinates(F1, F1)
+
 
 class TestRegionGrid:
     def test_grid_shape_and_classes(self):
@@ -322,6 +331,18 @@ class TestRegionGrid:
             one = classify(cube_quadric(cube, f1, chart.point(u, v)))
             assert (one.tag, one.inertia) == (qc.tag, qc.inertia)
             assert one.margin == pytest.approx(qc.margin, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("method", ["auto", "general"])
+    def test_cell_at_f1_is_degenerate(self, method):
+        # f2 = f1 at the chart's origin: a pencil of quadrics fits, which
+        # the closed form gives as the zero matrix and the general fit skips.
+        # Elsewhere on the axes u = 0 and v = 0 the quadric is singular but
+        # not zero.
+        f1 = [2.0, 3.0, 4.0, 1.0]
+        chart = PlaneChart(tuple(f1[:3]), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+        cells = {(u, v): qc for u, v, qc in region_grid(unit_cube(), f1, chart, 3, method=method)}
+        assert (cells[0.0, 0.0].tag, cells[0.0, 0.0].inertia) == (DEGENERATE, (0, 0, 4))
+        assert [uv for uv, qc in cells.items() if qc.inertia == (0, 0, 4)] == [(0.0, 0.0)]
 
     @pytest.mark.parametrize("method", ["auto", "general"])
     def test_seven_vertices_rejected(self, method):

@@ -249,6 +249,21 @@ class TestExperimentConfig:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 ExperimentConfig(noise_levels=(0.0, bad))
+        # A fractional or negative seed would fail later, inside
+        # SeedSequence; a bool would run as 0 or 1.
+        for bad in (1.5, 2.0, -1, True, np.True_, "0"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ExperimentConfig(seed=bad)
+        for bad in (True, False, np.True_):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                ExperimentConfig(trials=bad)
+        cfg = ExperimentConfig(trials=np.int32(2), seed=np.uint32(5))
+        assert (cfg.trials, cfg.seed) == (2, 5) and ExperimentConfig(seed=0).seed == 0
+        # A scalar level would fail later, inside len.
+        for bad in (0.05, "0.05", {0.05}, ((0.0, 0.05),), None):
+            with pytest.raises(ValueError, match="noise_levels must be a sequence"):
+                ExperimentConfig(noise_levels=bad)
+        assert len(ExperimentConfig(noise_levels=np.array([0.0, 0.1])).noise_levels) == 2
 
 
 class TestRunTrial:
@@ -364,10 +379,10 @@ class TestRuledScreen:
         for i in range(5000):
             if i % 10 == 0:
                 cube = random_combinatorial_cube(rng)
-            A1, A2 = sample_camera_pair(rng, simulate.CAMERA_RADIUS)
-            screened = simulate._surely_ruled(cube, A1, A2)
+            c1, c2 = simulate._camera_centres(rng, simulate.CAMERA_RADIUS)
+            screened = simulate._surely_ruled(cube, c1, c2)
             if screened:
-                Q, _ = _cube_quadrics(cube, _focal_points(np.array([A1, A2])))
+                Q, _ = _cube_quadrics(cube, _focal_points(np.array([look_at_camera(c1), look_at_camera(c2)])))
                 assert _classify_stack(Q)[0].tag != NONRULED_NONDEGENERATE
             verdicts.append(screened)
         assert 0 < sum(verdicts) < len(verdicts)
@@ -381,9 +396,9 @@ class TestRuledScreen:
         for _ in range(200):
             c = rng.standard_normal(3)
             c *= simulate.CAMERA_RADIUS / np.linalg.norm(c)
-            pair = look_at_camera(c), look_at_camera(-c + 1e-5 * rng.standard_normal(3))
-            assert not simulate._surely_ruled(unit_cube(), *pair)
-            Q = _cube_quadrics(unit_cube(), _focal_points(np.array(pair)))[0][0]
+            centres = c, -c + 1e-5 * rng.standard_normal(3)
+            assert not simulate._surely_ruled(unit_cube(), *centres)
+            Q = _cube_quadrics(unit_cube(), _focal_points(np.array([look_at_camera(f) for f in centres])))[0][0]
             decided += np.linalg.det(Q) > 1e-8 * np.linalg.norm(Q) ** 4
         assert decided > 0
 
@@ -391,20 +406,39 @@ class TestRuledScreen:
         # Both centres on the line where the unit cube's facet planes z = -1
         # and y = -1 meet: a pencil of quadrics fits, Q is zero, and the
         # screen leaves the pair to the gate, which finds it DEGENERATE.
-        pair = look_at_camera([6.0, -1.0, -1.0]), look_at_camera([-6.0, -1.0, -1.0])
-        assert not simulate._surely_ruled(unit_cube(), *pair)
+        centres = np.array([6.0, -1.0, -1.0]), np.array([-6.0, -1.0, -1.0])
+        pair = [look_at_camera(c) for c in centres]
+        assert not simulate._surely_ruled(unit_cube(), *centres)
         Q, ok = _cube_quadrics(unit_cube(), _focal_points(np.array(pair)))
         assert not ok[0] and _classify_stack(Q)[0].tag == DEGENERATE
         # In the sweep's loop: the first pair of a trial on the unit cube
         # reaches the quadric core.
-        sampler, seen = simulate.sample_camera_pair, []
+        sampler, seen = simulate._camera_centres, []
         quadrics = simulate._cube_quadrics
         monkeypatch.setattr(simulate, "random_combinatorial_cube", lambda rng: unit_cube())
-        monkeypatch.setattr(simulate, "sample_camera_pair", lambda rng, r: pair if not seen else sampler(rng, r))
+        monkeypatch.setattr(simulate, "_camera_centres", lambda rng, r: centres if not seen else sampler(rng, r))
         monkeypatch.setattr(simulate, "_cube_quadrics", lambda C, c: seen.append(c) or quadrics(C, c))
         simulate._geometry(ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0), 0)
         assert np.array_equal(seen[0], _focal_points(np.array(pair)))
         assert len(seen) > 1
+
+    def test_cameras_only_for_screened_pairs(self, monkeypatch):
+        # The sweep screens the centres it drew and builds the two look-at
+        # cameras only for a pair that reaches the gate.
+        counts = {"_surely_ruled": 0, "look_at_camera": 0, "_cube_quadrics": 0}
+        for name in counts:
+            real = getattr(simulate, name)
+
+            def counted(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(simulate, name, counted)
+        cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0)
+        for t in range(10):
+            simulate._geometry(cfg, t)
+        assert counts["look_at_camera"] == 2 * counts["_cube_quadrics"]
+        assert counts["_surely_ruled"] > counts["_cube_quadrics"] >= 10
 
 
 class TestSweep:
