@@ -7,8 +7,8 @@ carry the labels 0,1,2,3,6,7,8,9; a full 10-point configuration adds the
 two focal points in labels 4 and 5.
 """
 
+import math
 from dataclasses import dataclass, field
-from math import lcm
 
 import numpy as np
 
@@ -190,48 +190,71 @@ def cube_closure(p1, p6, p7):
 
 
 def _integer_cube(rng, apply_map):
-    """The rational cube sampler on integers.
+    """The rational cube sampler on integers: the ``_normal_form``, mapped
+    by an ``_affine_map`` if ``apply_map``, ``_fit`` into the box."""
+    pts = _normal_form(rng)
+    return _fit(_affine_map(rng) if apply_map else ((1, 0, 0), (0, 1, 0), (0, 0, 1)), pts)
 
-    Draws the normal-form cube (every free coordinate is n/1000 with n in
+
+def _normal_form(rng):
+    """The normal-form cube closed by ``cube_closure``, as 8 integer points
+    over one positive weight.  Every free coordinate is n/1000 with n in
     [200, 1000]: coordinates near zero flatten the cube toward a degenerate,
-    noise-hypersensitive shape), closes it with ``cube_closure``, applies a
-    random well-conditioned affine map with entries m/1000 when
-    ``apply_map``, and fits the result into [-1, 1]^3 with one scale per
-    axis.  Returns ``(nums, dens)``: coordinate ``ax`` of vertex ``k`` (label
-    order 0,1,2,3,6,7,8,9) is the rational ``nums[k][ax] / dens[ax]``, with
-    ``dens[ax] > 0``.  The vertices are homogeneous integer vectors with
-    weights 1, 1000 and that of vertex 8, brought to one positive weight,
-    their lcm, so every step is exact integer arithmetic.  Raises
-    ExhaustedRetries if MAX_AFFINE_MAP_DRAWS maps are all ill-conditioned.
-    """
+    noise-hypersensitive shape."""
     # One call of size n draws what n scalar calls would, in the same order.
     a, b, c, d, e, f = rng.integers(200, 1001, size=6).tolist()
-    verts = dict(NORMAL_FORM_BASE)
-    verts[1] = (a, b, 0, 1000)
-    verts[6] = (c, 0, d, 1000)
-    verts[7] = (0, e, f, 1000)
+    verts = {**NORMAL_FORM_BASE, 1: (a, b, 0, 1000), 6: (c, 0, d, 1000), 7: (0, e, f, 1000)}
     verts[8] = cube_closure(verts[1], verts[6], verts[7])
     if verts[8][3] == 0:
         raise DegenerateIntersection("facet planes do not meet in an affine point")
-    weight = lcm(1000, verts[8][3])
-    pts = []
-    for lab in CUBE_LABELS:
-        *xyz, w = verts[lab]
-        pts.append([u * (weight // w) for u in xyz])
-    if apply_map:
-        for _ in range(MAX_AFFINE_MAP_DRAWS):
-            M = rng.integers(-1000, 1001, size=(3, 3))
-            # Reject ill-conditioned maps: they squash the cube toward a
-            # degenerate configuration.  The check is float-only; the map
-            # itself stays exact.  It rejects every singular map but the
-            # zero one, whose image the box fit rejects as flat.
+    weight = math.lcm(1000, verts[8][3])
+    return [[u * (weight // verts[lab][3]) for u in verts[lab][:3]] for lab in CUBE_LABELS]
+
+
+def _affine_map(rng):
+    """The integers m (a 3x3 list) of a random map with entries m/1000 whose
+    singular values pass ``sv[-1] >= sv[0] / 4``, which rejects the maps that
+    squash the cube and every singular map but the zero one (``_fit`` finds
+    its image flat).  Raises ExhaustedRetries after MAX_AFFINE_MAP_DRAWS."""
+    for _ in range(MAX_AFFINE_MAP_DRAWS):
+        M = rng.integers(-1000, 1001, size=(3, 3))
+        m = M.tolist()
+        verdict = _gram_screen(m)
+        if verdict is None:
             sv = np.linalg.svd(M / 1000, compute_uv=False)
-            if sv[-1] >= sv[0] / 4.0:
-                break
-        else:
-            raise ExhaustedRetries(f"no well-conditioned affine map in {MAX_AFFINE_MAP_DRAWS} draws")
-        M = M.tolist()
-        pts = [[r[0] * p[0] + r[1] * p[1] + r[2] * p[2] for r in M] for p in pts]
+            verdict = sv[-1] >= sv[0] / 4.0
+        if verdict:
+            return m
+    raise ExhaustedRetries(f"no well-conditioned affine map in {MAX_AFFINE_MAP_DRAWS} draws")
+
+
+def _gram_screen(m):
+    """The map rule on the integer 3x3 list m from the eigenvalues of G =
+    m^T m: True or False, or None (ask the SVD) where G is a multiple of the
+    identity or lambda_min / lambda_max is within a relative 1e-6 of 1/16.
+    The closed form for a symmetric 3x3 runs on H = 3G - tr(G) I, in
+    integers up to 3 phi = atan2(sqrt(P^3 - 54 det(H)^2), sqrt(54) det H),
+    P = tr(H^2): 3 lambda = tr(G) + 2 sqrt(P/6) cos(phi + 2 pi k/3).  Its
+    ratio is off by about 1e-14, far inside the band."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    g00, g11, g22 = a * a + d * d + g * g, b * b + e * e + h * h, c * c + f * f + i * i
+    h01, h02, h12 = 3 * (a * b + d * e + g * h), 3 * (a * c + d * f + g * i), 3 * (b * c + e * f + h * i)
+    t = g00 + g11 + g22
+    h00, h11, h22 = 3 * g00 - t, 3 * g11 - t, 3 * g22 - t
+    P = h00 * h00 + h11 * h11 + h22 * h22 + 2 * (h01 * h01 + h02 * h02 + h12 * h12)
+    det = h00 * (h11 * h22 - h12 * h12) - h01 * (h01 * h22 - h12 * h02) + h02 * (h01 * h12 - h11 * h02)
+    phi = math.atan2(math.sqrt(P * P * P - 54 * det * det), math.sqrt(54.0) * det) / 3.0
+    s = 2.0 * math.sqrt(P / 6.0)
+    top = t + s * math.cos(phi)
+    gap = 16.0 * (t + s * math.cos(phi + 2.0 * math.pi / 3.0)) - top
+    return None if P == 0 or abs(gap) <= 1e-6 * top else gap > 0.0
+
+
+def _fit(M, pts):
+    """The integer points pts mapped by the integer 3x3 M and fitted into
+    [-1, 1]^3 per axis: ``(nums, dens)``, coordinate ``ax`` of vertex ``k``
+    (labels 0,1,2,3,6,7,8,9) is ``nums[k][ax] / dens[ax]``, ``dens[ax] > 0``."""
+    pts = [[r[0] * p[0] + r[1] * p[1] + r[2] * p[2] for r in M] for p in pts]
     lo = [min(col) for col in zip(*pts)]
     hi = [max(col) for col in zip(*pts)]
     if any(h == l for h, l in zip(hi, lo)):
@@ -325,13 +348,17 @@ def random_combinatorial_cube(rng):
     and each coordinate is rounded once, so the facet coplanarities hold to
     rounding error and the floats are those of
     ``exact.random_rational_cube``.  Samples are rejected until
-    ``CubeConfig`` accepts one, most of them first by ``_surely_nonconvex``.
+    ``CubeConfig`` accepts one, most first by ``_surely_nonconvex`` on the
+    normal form: an accepted map is zero (flat) or invertible, and with the
+    box fit scales every value the screen reads by one nonzero determinant.
     """
     for _ in range(MAX_CUBE_CANDIDATES):
         try:
-            nums, dens = _integer_cube(rng, True)
-            if _surely_nonconvex(nums):
+            pts = _normal_form(rng)
+            M = _affine_map(rng)
+            if _surely_nonconvex(pts):
                 continue
+            nums, dens = _fit(M, pts)
             # int / int is correctly rounded, as float(Fraction) is.
             return CubeConfig(np.array([[n / d for n, d in zip(row, dens)] + [1.0] for row in nums]))
         except (DegenerateIntersection, ValueError):
@@ -340,9 +367,9 @@ def random_combinatorial_cube(rng):
 
 
 def _surely_nonconvex(nums):
-    """True where a vertex of the ``_integer_cube`` candidate ``nums`` lies,
-    in integers, on or across the plane of a facet it is not on; False
-    leaves the candidate to ``CubeConfig``.
+    """True where a vertex of the ``_integer_cube`` candidate (or normal
+    form) ``nums`` lies, in integers, on or across the plane of a facet it
+    is not on; False leaves the candidate to ``CubeConfig``.
 
     For p = (nums[k], 1), n = cross4 of three of a facet's p and D =
     diag(dens, 1), n . p = (D n) . (D^-1 p) is the exact plane at the exact

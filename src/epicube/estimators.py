@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pencil
-from .degeneracy import _kron_rows, _ranks, build_Z, kernel_basis
-from .exceptions import CoincidentCenters, DegenerateCloud, DegenerateInput, EpicubeError
+from .degeneracy import _kron_rows, _ranks
+from .exceptions import CoincidentCenters, DegenerateCloud, DegenerateInput, EpicubeError, LengthMismatch
 from .projective import (
     _canon_rows,
     _residuals,
@@ -78,10 +78,14 @@ def eight_point(X, Y):
     Y = as_points(Y, 3)
     if len(X) < 8:
         raise ValueError(f"need at least 8 correspondences, got {len(X)}")
-    basis = kernel_basis(build_Z(X, Y))
-    if len(basis) != 1:
-        raise DegenerateInput(len(basis))
-    return canonical_fmatrix(basis[0].reshape(3, 3))
+    if len(X) != len(Y):
+        raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
+    # kernel_basis(build_Z(X, Y)) on checked inputs.
+    _, s, vt = np.linalg.svd(_kron_rows(X, Y), full_matrices=True)
+    dim = 9 - int(_ranks(s))
+    if dim != 1:
+        raise DegenerateInput(dim)
+    return _canon_rows(vt[8:]).reshape(3, 3)
 
 
 def fundamental_from_cameras(A1, A2):
@@ -155,16 +159,16 @@ def seven_point(X, Y):
     Y = as_points(Y, 3)
     if len(X) != 7 or len(Y) != 7:
         raise ValueError("the 7-point algorithm needs exactly 7 correspondences")
-    return _solution(*_one(_seven_point, X, Y))
+    return _solution(*_one(pencil.solve, _one(_seven_point, X, Y)[0]))
 
 
 def _seven_point(X, Y, failures):
-    """seven_point on (N, 7, 3) stacks of checked points, as ``pencil.solve``."""
+    """The (N, 2, 9) pencil generators of seven_point on (N, 7, 3) checked stacks, for ``pencil.solve``."""
     _, s, Vt = np.linalg.svd(_kron_rows(X, Y))
     dim = 9 - _ranks(s)
     for n in (dim != 2).nonzero()[0].tolist():
         failures[n] = DegenerateInput(int(dim[n]))
-    return pencil.solve(Vt[:, 7:], failures)
+    return Vt[:, 7:]
 
 
 def eckart_young_rank7(Z):
@@ -187,8 +191,9 @@ def cube_eight_point(X, Y):
 
 
 def _cube_eight_point(X, Y, Xu, Yu, failures):
-    """The denormalized candidates of cube_eight_point on (N, 8, 3) stacks of
-    checked points with unit rows (Xu, Yu), as ``pencil.solve`` gives them."""
+    """The conditioning transforms, (N, 2, 3, 3), and pencil generators of
+    cube_eight_point on (N, 8, 3) stacks of checked points with unit rows
+    (Xu, Yu), the generators as ``pencil.solve`` takes them with ``failures``."""
     N = len(X)
     P = np.concatenate([X[:, None], Y[:, None]], axis=1)
     affine = (np.abs(Xu[..., 2]) > 1e-12).all(axis=1) & (np.abs(Yu[..., 2]) > 1e-12).all(axis=1)
@@ -205,46 +210,55 @@ def _cube_eight_point(X, Y, Xu, Yu, failures):
     # The rank-7 truncation of Z keeps its right singular vectors, so its
     # kernel is spanned by the last two of them.
     _, _, Vt = np.linalg.svd(_kron_rows(Pn[:, 0], Pn[:, 1]))
-    roots, candidates = pencil.solve(Vt[:, 7:], failures)
-    n, k = (~np.isnan(roots)).nonzero()
-    candidates[n, k] = _canon_rows(T[n, 1].transpose(0, 2, 1) @ candidates[n, k] @ T[n, 0])
-    return candidates
+    return T, Vt[:, 7:]
 
 
-def _estimate_all(algo, X, Y):
-    """The estimator ``algo`` of ALGOS on (N, n, 3) stacks of checked points:
-    each instance's chosen F, (N, 3, 3), its residual on all n correspondences
-    (NaN and inf where the instance raises), and each raising instance's
-    exception by index.  "8pt" calls the module-global (maybe traced)
-    ``eight_point``, which checks n >= 8, once per instance; "7pt" solves on
-    the first seven."""
-    N, failures = len(X), {}
-    Xu, Yu = _unit_rows(X), _unit_rows(Y)
-    if algo == "8pt":
-        candidates = np.full((N, 1, 3, 3), np.nan)
-        for i in range(N):
-            try:
-                candidates[i, 0] = eight_point(X[i], Y[i])
-            except EpicubeError as exc:
-                failures[i] = exc
-    elif algo == "7pt":
-        if X.shape[1] < 7:
-            raise ValueError("the 7-point algorithm needs at least 7 correspondences")
-        candidates = _seven_point(X[:, :7], Y[:, :7], failures)[1]
-    elif algo == "cube8":
-        if X.shape[1] != 8 or Y.shape[1] != 8:
-            raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
-        candidates = _cube_eight_point(X, Y, Xu, Yu, failures)
-    else:
-        raise ValueError(f"unknown estimator {algo!r}")
-    best, residual = _select(candidates, Xu, Yu)
-    return candidates[np.arange(N), best], residual, failures
+def _estimate_all(algos, X, Y):
+    """The estimators ``algos`` (names in ALGOS) on (N, n, 3) stacks of
+    checked points, as three lists with one entry per algorithm: each
+    instance's chosen F, (N, 3, 3), its residual on all n correspondences,
+    (N,) (NaN and inf where it raises), and the raising instances' exceptions.
+    "8pt" runs the module-global (maybe traced) ``eight_point`` per instance;
+    "7pt" and "cube8" share one ``pencil.solve``, 7pt on the first 7 rows."""
+    N, Xu, Yu = len(X), _unit_rows(X), _unit_rows(Y)
+    failures, candidates, pencils = [{} for _ in algos], {}, {}
+    for j, algo in enumerate(algos):
+        if algo == "8pt":
+            candidates[j] = np.full((N, 1, 3, 3), np.nan)
+            for i in range(N):
+                try:
+                    candidates[j][i, 0] = eight_point(X[i], Y[i])
+                except EpicubeError as exc:
+                    failures[j][i] = exc
+        elif algo == "7pt":
+            if X.shape[1] < 7:
+                raise ValueError("the 7-point algorithm needs at least 7 correspondences")
+            pencils[j] = None, _seven_point(X[:, :7], Y[:, :7], failures[j])
+        elif algo == "cube8":
+            if X.shape[1] != 8 or Y.shape[1] != 8:
+                raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
+            pencils[j] = _cube_eight_point(X, Y, Xu, Yu, failures[j])
+        else:
+            raise ValueError(f"unknown estimator {algo!r}")
+    if pencils:
+        # Instance n of the k-th pencil is k * N + n in the joint stack.
+        joint = {k * N + n: exc for k, j in enumerate(pencils) for n, exc in failures[j].items()}
+        roots, solved = pencil.solve(np.concatenate([G for _, G in pencils.values()]), joint)
+        for k, (j, (T, _)) in enumerate(pencils.items()):
+            failures[j].update((n - k * N, exc) for n, exc in joint.items() if n // N == k)
+            candidates[j] = c = solved[k * N : (k + 1) * N]
+            if T is not None:
+                n, m = (~np.isnan(roots[k * N : (k + 1) * N])).nonzero()
+                c[n, m] = _canon_rows(T[n, 1].transpose(0, 2, 1) @ c[n, m] @ T[n, 0])
+    chosen = [_select(candidates[j], Xu, Yu) for j in range(len(algos))]
+    F = [candidates[j][np.arange(N), best] for j, (best, _) in enumerate(chosen)]
+    return F, [residual for _, residual in chosen], failures
 
 
 def _estimate_one(algo, X, Y):
-    """``_estimate_all`` on one instance: (F, residual); raises the
-    instance's exception."""
-    F, residual, failures = _estimate_all(algo, as_points(X, 3)[None], as_points(Y, 3)[None])
+    """``_estimate_all`` of one estimator on one instance: (F, residual);
+    raises the instance's exception."""
+    (F,), (residual,), (failures,) = _estimate_all((algo,), as_points(X, 3)[None], as_points(Y, 3)[None])
     if failures:
         raise failures[0]
     return F[0], float(residual[0])

@@ -217,8 +217,9 @@ def _run(cfg, trials):
     trial within a level, one record per algorithm.
 
     Every trial's geometry and noise draw come first, then the images of all
-    levels x trials in one pass (clean at noise 0).  Each estimator runs once
-    over that stack and gives each F with its residual (inf where it raised).
+    levels x trials in one pass (clean at noise 0).  One ``_estimate_all``
+    call runs every estimator over that stack: each F and residual (inf where
+    it raised).
     """
     geos = [_geometry(cfg, t) for t in trials]
     # Axes (X or Y, [level,] trial, point, coordinate).
@@ -230,10 +231,8 @@ def _run(cfg, trials):
     X, Y = images.reshape(2, -1, *clean.shape[2:])
     F_true = np.array([g[3] for g in geos] * len(cfg.noise_levels))
     # (instance, algorithm) in record order.
-    F = np.empty((len(X), len(ALGOS), 3, 3))
-    resid = np.empty((len(X), len(ALGOS)))
-    for k, algo in enumerate(ALGOS):
-        F[:, k], resid[:, k], _ = _estimate_all(algo, X, Y)
+    F, resid, _ = _estimate_all(ALGOS, X, Y)
+    F, resid = np.stack(F, axis=1), np.stack(resid, axis=1)
     failed = np.isinf(resid)
     inst, algo = np.nonzero(~failed)
     angle = np.zeros(failed.shape)

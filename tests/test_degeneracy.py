@@ -14,6 +14,7 @@ from epicube.degeneracy import (
     UNIT_CUBE_VERTICES,
     CubeConfig,
     _cross3,
+    _gram_screen,
     _integer_cube,
     _surely_nonconvex,
     bracket,
@@ -352,6 +353,61 @@ class TestConvexityScreen:
             assert is_combinatorial_cube(np.array([row + [1] for row in nums], dtype=float))[0] != rejected
 
 
+class OneMap:
+    """A generator stand-in whose every integer draw is the map m."""
+
+    def __init__(self, m):
+        self.m = np.array(m)
+
+    def integers(self, low, high, size):
+        return self.m.copy()
+
+
+def svd_rule(m):
+    sv = np.linalg.svd(np.array(m) / 1000, compute_uv=False)
+    return bool(sv[-1] >= sv[0] / 4.0)
+
+
+class TestMapScreen:
+    """``_gram_screen`` decides the affine-map rule from the Gram matrix's
+    eigenvalues and leaves the near-boundary maps to the SVD."""
+
+    def test_matches_the_svd_rule(self):
+        # 100,000 seeded maps: every verdict the screen gives is the SVD's,
+        # and it leaves exactly one map, 1.3e-7 from the ratio, to the SVD.
+        Ms = np.random.default_rng(20).integers(-1000, 1001, size=(100_000, 3, 3))
+        sv = np.linalg.svd(Ms / 1000, compute_uv=False)
+        rule = (sv[:, -1] >= sv[:, 0] / 4.0).tolist()
+        verdicts = [_gram_screen(m) for m in Ms.tolist()]
+        undecided = [k for k, v in enumerate(verdicts) if v is None]
+        assert undecided == [71801]
+        assert abs(16.0 * (sv[71801, -1] / sv[71801, 0]) ** 2 - 1.0) < 1e-6
+        assert all(v == r for v, r in zip(verdicts, rule) if v is not None)
+        assert 0.25 < sum(rule) / len(rule) < 0.35
+
+    @pytest.mark.parametrize(
+        "m, fallback, accepted",
+        [
+            ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], True, True),
+            ([[1000, 0, 0], [0, 1000, 0], [0, 0, 250]], True, True),
+            ([[1000, 0, 0], [0, 1000, 0], [0, 0, 249]], False, False),
+            ([[0, 1000, 0], [0, 0, -1000], [1000, 0, 0]], True, True),
+            ([[-753, 456, 511], [-447, -454, 983], [819, -416, 399]], True, True),
+        ],
+        ids=["zero", "ratio-1/16", "below-1/16", "scaled-permutation", "drawn-near-1/16"],
+    )
+    def test_boundary_maps_get_the_svd_verdict(self, m, fallback, accepted):
+        # The zero map, a Gram matrix that is a multiple of the identity and
+        # ratios within 1e-6 of 1/16 (the drawn map is 1.1e-7 from it) go to
+        # the SVD; _affine_map accepts each map exactly where the SVD does.
+        assert (_gram_screen(m) is None) == fallback
+        assert svd_rule(m) == accepted
+        try:
+            assert degeneracy._affine_map(OneMap(m)) == m and accepted
+        except ExhaustedRetries:
+            assert not accepted
+
+
 class TestRandomCube:
     def test_samples_are_cubes_in_box(self, rng):
         for _ in range(5):
@@ -369,12 +425,13 @@ class TestRandomCube:
             random_combinatorial_cube(rng)
 
     def test_candidate_budget_raises_exhausted_retries(self, rng, monkeypatch):
-        # Every candidate puts vertex 6 on the bottom facet's plane, so the
-        # integer screen rejects each one and the candidate budget runs out.
+        # Every normal form puts vertex 6 on the bottom facet's plane, so the
+        # integer screen rejects each candidate and the candidate budget runs
+        # out.
         bottom = [[-1, -1, -1], [1, 1, -1], [-1, 1, -1], [1, -1, -1]]
         nums = bottom + [[x, y, 1 - x + y] for x, y in ((1, -1), (-1, 1), (1, 1), (-1, -1))]
         drawn = []
-        monkeypatch.setattr(degeneracy, "_integer_cube", lambda rng, apply_map: drawn.append(1) or (nums, [2, 2, 2]))
+        monkeypatch.setattr(degeneracy, "_normal_form", lambda rng: drawn.append(1) or nums)
         with pytest.raises(ExhaustedRetries, match="no valid cube"):
             random_combinatorial_cube(rng)
         assert len(drawn) == degeneracy.MAX_CUBE_CANDIDATES

@@ -29,6 +29,7 @@ from epicube.exceptions import (
     DependentInputs,
     EpicubeError,
     IdenticallyZeroPencil,
+    LengthMismatch,
     NoRealRoot,
 )
 from epicube.projective import (
@@ -419,7 +420,7 @@ class TestStackedCore:
         # Each instance's F and residual are those of the public estimator
         # called on it alone; one raising instance changes no other instance.
         X, Y = mixed_pool
-        F, residual, failures = _estimate_all(algo, X, Y)
+        (F,), (residual,), (failures,) = _estimate_all((algo,), X, Y)
         for i in range(len(X)):
             try:
                 if algo == "7pt":
@@ -441,9 +442,25 @@ class TestStackedCore:
         }
         assert {type(e) for e in failures.values()} == expected[algo]
 
+    def test_all_estimators_in_one_call(self, mixed_pool):
+        # One call over ALGOS, with one pencil solve for 7pt and cube8, gives
+        # each algorithm what a call of it alone gives, bit for bit.
+        X, Y = mixed_pool
+        F, residual, failures = _estimate_all(ALGOS, X, Y)
+        assert len(F) == len(residual) == len(failures) == len(ALGOS)
+        for k, algo in enumerate(ALGOS):
+            (G,), (r,), (expected,) = _estimate_all((algo,), X, Y)
+            assert np.array_equal(F[k], G, equal_nan=True)
+            assert np.array_equal(residual[k], r, equal_nan=True)
+            assert list(failures[k]) == list(expected)
+            assert [type(e) for e in failures[k].values()] == [type(e) for e in expected.values()]
+            assert [str(e) for e in failures[k].values()] == [str(e) for e in expected.values()]
+        seen = {type(e) for f in failures for e in f.values()}
+        assert seen == {DegenerateInput, DegenerateCloud, IdenticallyZeroPencil}
+
     def test_unknown_estimator(self, mixed_pool):
         with pytest.raises(ValueError, match="unknown estimator"):
-            _estimate_all("9pt", *mixed_pool)
+            _estimate_all(("9pt",), *mixed_pool)
 
     def test_mixed_pool_reaches_the_unconditioned_path(self, mixed_pool):
         X, Y = mixed_pool
@@ -489,6 +506,35 @@ class TestEightPoint:
         X, Y, _ = generic_scene(rng, n=6)
         with pytest.raises(ValueError):
             eight_point(X, Y)
+
+    def test_length_mismatch(self, rng):
+        # Raised before any work, as build_Z raises it; a trimmed pair of
+        # inputs would broadcast instead.
+        X, Y, _ = generic_scene(rng, n=10)
+        for nx, ny in ((8, 9), (9, 8), (10, 9)):
+            with pytest.raises(LengthMismatch):
+                eight_point(X[:nx], Y[:ny])
+
+    def test_kernel_dimension_is_kernel_basis(self, rng, standard_instance):
+        # DegenerateInput carries the dimension kernel_basis(build_Z(X, Y))
+        # gives: cube images, repeated and coincident correspondences, and
+        # more than nine rows.
+        Xg, Yg, _ = generic_scene(rng, n=10)
+        Xs, Ys = standard_instance["X"], standard_instance["Y"]
+        cases = [
+            (Xs, Ys),
+            (np.vstack([Xs, Xs[:2]]), np.vstack([Ys, Ys[:2]])),
+            (Xg[[0, 1, 2, 3, 4, 5, 6, 6]], Yg[[0, 1, 2, 3, 4, 5, 6, 6]]),
+            (Xg[[0, 1, 2, 3, 4, 5, 5, 5, 5, 5]], Yg[[0, 1, 2, 3, 4, 5, 5, 5, 5, 5]]),
+            (np.tile([1.0, 2.0, 1.0], (8, 1)), Yg[:8]),
+        ]
+        dims = []
+        for X, Y in cases:
+            with pytest.raises(DegenerateInput) as info:
+                eight_point(X, Y)
+            dims.append(info.value.kernel_dim)
+            assert info.value.kernel_dim == len(kernel_basis(build_Z(X, Y)))
+        assert dims == [2, 2, 2, 3, 6]
 
 
 class TestFundamentalFromCameras:
@@ -575,7 +621,7 @@ class TestSevenPoint:
             with pytest.raises(ValueError, match="needs exactly 7 correspondences"):
                 seven_point(X[:n], Y[:n])
         with pytest.raises(ValueError, match="needs at least 7 correspondences"):
-            _estimate_all("7pt", X[None, :6], Y[None, :6])
+            _estimate_all(("7pt",), X[None, :6], Y[None, :6])
 
     def test_best_selects_minimal_residual(self, rng):
         X, Y, F_true = generic_scene(rng, n=8)

@@ -259,7 +259,7 @@ class TestBoundary:
             lambda: exact_veronese_matrix([[1, 2, 3]]),
             lambda: exact_turnbull_young([[1, 2, 3]] * 10),
             lambda: exact_turnbull_young([[1, 2, 3, 4, 5]] * 10),
-            lambda: exact_turnbull_young(exact_config_ten(CUBE[:7], [9, 0, 0, 1], [0, 9, 0, 1])),
+            lambda: exact_turnbull_young([*CUBE[:7], [9, 0, 0, 1], [0, 9, 0, 1]]),
             lambda: exact_config_ten(CUBE + [[0, 0, 0, 1]], [9, 0, 0, 1], [0, 9, 0, 1]),
         ],
         ids=["veronese-5", "veronese-3", "invariant-3", "invariant-5", "seven-vertices", "nine-vertices"],
@@ -322,7 +322,8 @@ def reference_rational_cube(rng, apply_map=True):
 
 
 def draws(sampler, seed, n=6):
-    """n successive samples from one seeded stream, errors by type name."""
+    """n successive samples from one seeded stream, errors by type name, and
+    the generator state after them."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -330,7 +331,7 @@ def draws(sampler, seed, n=6):
             out.append(sampler(rng, apply_map=bool(i % 2)))
         except (DegenerateIntersection, ExhaustedRetries) as exc:
             out.append(type(exc).__name__)
-    return out
+    return out + [rng.bit_generator.state]
 
 
 class TestSamplerPinned:
@@ -354,8 +355,10 @@ class TestSamplerPinned:
                     break
             else:
                 pytest.fail(f"seed {seed}: no cube in {MAX_CUBE_CANDIDATES} candidates")
-            cube = random_combinatorial_cube(np.random.default_rng(seed))
+            fast = np.random.default_rng(seed)
+            cube = random_combinatorial_cube(fast)
             assert np.array_equal(cube.vertices, V)
+            assert fast.bit_generator.state == rng.bit_generator.state
 
     def test_certificate_counts(self):
         full = {"trials": 10, "vanished": 10, "rank_ok": 10, "controls": 3, "nonzero_controls": 3}
