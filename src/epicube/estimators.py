@@ -162,12 +162,13 @@ def seven_point(X, Y):
     return _solution(*_one(pencil.solve, _one(_seven_point, X, Y)[0]))
 
 
-def _seven_point(X, Y, failures):
-    """The (N, 2, 9) pencil generators of seven_point on (N, 7, 3) checked stacks, for ``pencil.solve``."""
+def _seven_point(X, Y, failures, at=0):
+    """The (N, 2, 9) pencil generators of seven_point on (N, 7, 3) checked
+    stacks, for ``pencil.solve``; instance n fails under key at + n."""
     _, s, Vt = np.linalg.svd(_kron_rows(X, Y))
     dim = 9 - _ranks(s)
     for n in (dim != 2).nonzero()[0].tolist():
-        failures[n] = DegenerateInput(int(dim[n]))
+        failures[at + n] = DegenerateInput(int(dim[n]))
     return Vt[:, 7:]
 
 
@@ -190,10 +191,11 @@ def cube_eight_point(X, Y):
     return _estimate_one("cube8", X, Y)[0]
 
 
-def _cube_eight_point(X, Y, Xu, Yu, failures):
+def _cube_eight_point(X, Y, Xu, Yu, failures, at=0):
     """The conditioning transforms, (N, 2, 3, 3), and pencil generators of
     cube_eight_point on (N, 8, 3) stacks of checked points with unit rows
-    (Xu, Yu), the generators as ``pencil.solve`` takes them with ``failures``."""
+    (Xu, Yu), the generators as ``pencil.solve`` takes them; instance n fails
+    under key at + n of ``failures``."""
     N = len(X)
     P = np.concatenate([X[:, None], Y[:, None]], axis=1)
     affine = (np.abs(Xu[..., 2]) > 1e-12).all(axis=1) & (np.abs(Yu[..., 2]) > 1e-12).all(axis=1)
@@ -206,7 +208,7 @@ def _cube_eight_point(X, Y, Xu, Yu, failures):
         T = np.where(affine[:, None, None, None], T, np.eye(3))
         Pn = np.where(affine[:, None, None, None], Pn, P)
     for n in (affine & degenerate.reshape(N, 2).any(axis=1)).nonzero()[0].tolist():
-        failures[n] = DegenerateCloud("all points coincide")
+        failures[at + n] = DegenerateCloud("all points coincide")
     # The rank-7 truncation of Z keeps its right singular vectors, so its
     # kernel is spanned by the last two of them.
     _, _, Vt = np.linalg.svd(_kron_rows(Pn[:, 0], Pn[:, 1]))
@@ -221,7 +223,11 @@ def _estimate_all(algos, X, Y):
     "8pt" runs the module-global (maybe traced) ``eight_point`` per instance;
     "7pt" and "cube8" share one ``pencil.solve``, 7pt on the first 7 rows."""
     N, Xu, Yu = len(X), _unit_rows(X), _unit_rows(Y)
-    failures, candidates, pencils = [{} for _ in algos], {}, {}
+    failures, candidates = [{} for _ in algos], [None] * len(algos)
+    # (algorithm index, conditioning or None, generators) of each pencil
+    # estimator, and their failures from the start under the joint index
+    # k * N + n of instance n of the k-th pencil.
+    pencils, joint = [], {}
     for j, algo in enumerate(algos):
         if algo == "8pt":
             candidates[j] = np.full((N, 1, 3, 3), np.nan)
@@ -233,19 +239,18 @@ def _estimate_all(algos, X, Y):
         elif algo == "7pt":
             if X.shape[1] < 7:
                 raise ValueError("the 7-point algorithm needs at least 7 correspondences")
-            pencils[j] = None, _seven_point(X[:, :7], Y[:, :7], failures[j])
+            pencils.append((j, None, _seven_point(X[:, :7], Y[:, :7], joint, len(pencils) * N)))
         elif algo == "cube8":
             if X.shape[1] != 8 or Y.shape[1] != 8:
                 raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
-            pencils[j] = _cube_eight_point(X, Y, Xu, Yu, failures[j])
+            pencils.append((j, *_cube_eight_point(X, Y, Xu, Yu, joint, len(pencils) * N)))
         else:
             raise ValueError(f"unknown estimator {algo!r}")
     if pencils:
-        # Instance n of the k-th pencil is k * N + n in the joint stack.
-        joint = {k * N + n: exc for k, j in enumerate(pencils) for n, exc in failures[j].items()}
-        roots, solved = pencil.solve(np.concatenate([G for _, G in pencils.values()]), joint)
-        for k, (j, (T, _)) in enumerate(pencils.items()):
-            failures[j].update((n - k * N, exc) for n, exc in joint.items() if n // N == k)
+        roots, solved = pencil.solve(np.concatenate([G for *_, G in pencils]), joint)
+        for n, exc in joint.items():
+            failures[pencils[n // N][0]][n % N] = exc
+        for k, (j, T, _) in enumerate(pencils):
             candidates[j] = c = solved[k * N : (k + 1) * N]
             if T is not None:
                 n, m = (~np.isnan(roots[k * N : (k + 1) * N])).nonzero()

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +16,15 @@ from epicube.degeneracy import (
     veronese_matrix,
 )
 from epicube.exceptions import AtInfinity, NoQuadric, PencilOfQuadrics
-from epicube.projective import focal_point, proj_equal
+from epicube.projective import DEFAULT_TOL, focal_point, proj_equal
 from epicube.quadrics import (
     DEGENERATE,
     EMPTY,
     NONRULED_NONDEGENERATE,
     RULED_NONDEGENERATE,
     PlaneChart,
+    QuadricClass,
+    _classify_stack,
     classify,
     coeffs_to_matrix,
     cube_quadric,
@@ -35,6 +41,48 @@ F1 = np.array([-2.0, -3.0, -2.0, 1.0])
 F2 = np.array([-2.0, -3.0, -1.0, 1.0])
 # Eight uniform points in [-1, 1]^3: not a cube, no facet is coplanar.
 NON_CUBE = np.append(np.random.default_rng(0).uniform(-1, 1, (8, 3)), np.ones((8, 1)), axis=1)
+
+
+def reference_classify_stack(Q):
+    """_classify_stack as it built each cell in Python, one inertia tuple,
+    tag lookup and keyword constructor per matrix: the reference the
+    whole-array form must match bit for bit."""
+    w = np.linalg.eigvalsh(0.5 * (Q + Q.transpose(0, 2, 1)))
+    aw = np.abs(w)
+    wmax = aw.max(axis=1)
+    thresh = (DEFAULT_TOL * wmax)[:, None]
+    n_plus, n_minus = (w > thresh).sum(axis=1), (w < -thresh).sum(axis=1)
+    hi, lo = np.maximum(n_plus, n_minus), np.minimum(n_plus, n_minus)
+    counts = zip(hi.tolist(), lo.tolist(), (4 - hi - lo).tolist())
+    margin = aw.min(axis=1) / np.where(wmax > 0, wmax, 1.0)
+    tags = {(2, 2, 0): RULED_NONDEGENERATE, (3, 1, 0): NONRULED_NONDEGENERATE}
+    return [
+        QuadricClass(tag=DEGENERATE if k[2] else tags.get(k, EMPTY), inertia=k, margin=m)
+        for k, m in zip(counts, margin.tolist())
+    ]
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """An (n, 4, 4) symmetric stack holding one matrix of every tag, each
+    B diag(signs) B^T for an integer B whose column count sets the rank,
+    plus the zero matrix and symmetric float matrices at mixed scales."""
+    small = st.integers(-3, 3)
+    signatures = [(1, 1, 1, -1), (1, 1, -1, -1), (1, 1, 1, 1), (1, -1, 1)]
+    for _ in range(draw(st.integers(0, 6))):
+        signatures.append(draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4)))
+    mats = [np.zeros((4, 4))]
+    for signs in signatures:
+        # Full column rank keeps the signature: 4 columns give the tag, fewer
+        # a rank-deficient DEGENERATE matrix.
+        k = len(signs)
+        below = np.tril(np.reshape(draw(st.lists(small, min_size=4 * k, max_size=4 * k)), (4, k)), -1)
+        B = np.eye(4)[:, :k] * draw(st.sampled_from([1, -1])) + below
+        mats.append(B @ np.diag(signs) @ B.T * 10.0 ** draw(st.integers(-8, 8)))
+    for _ in range(draw(st.integers(0, 4))):
+        A = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))).reshape(4, 4)
+        mats.append(A + A.T)
+    return np.array(mats)[draw(st.permutations(range(len(mats))))]
 
 
 class TestCoefficients:
@@ -112,6 +160,36 @@ class TestInertiaClassify:
         M[0, 1] = 1.0
         with pytest.raises(ValueError):
             classify(M)
+
+    def test_non_finite_raises(self):
+        # Checked before the symmetry test, whose subtraction inf - inf
+        # would warn and then name the wrong fault.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ValueError, match="must be finite"):
+                    classify(np.diag([bad, 1.0, 1.0, 1.0]))
+
+
+class TestClassifyStack:
+    @given(symmetric_stacks())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_cell_reference(self, Q):
+        got, ref = _classify_stack(Q), reference_classify_stack(Q)
+        assert repr(got) == repr(ref)
+        assert got == ref and [hash(c) for c in got] == [hash(c) for c in ref]
+        assert {c.tag for c in got} == {RULED_NONDEGENERATE, NONRULED_NONDEGENERATE, EMPTY, DEGENERATE}
+        assert (0, 0, 4) in {c.inertia for c in got}
+
+    def test_quadric_class_stays_a_frozen_dataclass(self):
+        qc = _classify_stack(np.diag([1.0, 1.0, -1.0, -1.0])[None])[0]
+        assert type(qc) is QuadricClass
+        assert [f.name for f in dataclasses.fields(qc)] == ["tag", "inertia", "margin"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qc.tag = EMPTY
+        # Dataclass equality: never equal to a tuple of the same fields.
+        assert qc == QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0), margin=1.0)
+        assert qc != (RULED_NONDEGENERATE, (2, 2, 0), 1.0)
 
 
 class TestUnitCubeQuadric:
@@ -366,3 +444,60 @@ class TestRegionGrid:
         chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
         with pytest.raises(ValueError):
             region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], chart, 1)
+
+    @pytest.mark.parametrize(
+        "resolution", [3.0, np.float64(3.0), True, "3", None], ids=["float", "numpy-float", "bool", "str", "none"]
+    )
+    def test_non_integer_resolution_rejected(self, resolution):
+        chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
+        with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+            region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], chart, resolution)
+
+    def test_numpy_integer_resolution_accepted(self):
+        chart = PlaneChart((0, 0, 5), (1, 0, 0), (0, 1, 0))
+        cells = region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], chart, np.int64(3))
+        assert cells == region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], chart, 3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("u_range", (-np.inf, 6.0)),
+            ("v_range", (-6.0, np.nan)),
+            ("origin", (0.0, 0.0, np.inf)),
+            ("u_dir", (np.inf, 0.0, 0.0)),
+            ("v_dir", (0.0, np.nan, 0.0)),
+        ],
+    )
+    def test_non_finite_chart_rejected(self, field, value):
+        # A ValueError, before any arithmetic could warn: under warnings as
+        # errors a numpy RuntimeWarning would reach the caller first.
+        fields = {"origin": (0.0, 0.0, 5.0), "u_dir": (1.0, 0.0, 0.0), "v_dir": (0.0, 1.0, 0.0)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"chart {field} must be"):
+                region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], PlaneChart(**{**fields, field: value}), 4)
+
+
+# sha256 of repr(region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method)),
+# recorded before the classification moved to whole-array work.  The chart
+# passes through f1, so each grid has a zero (pencil) cell besides ruled and
+# non-ruled ones.
+PINNED_CHART = PlaneChart((0.0, 0.0, 4.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-8.0, 11.0), (-8.0, 11.0))
+F1_ON_CHART = [2.0, 3.0, 4.0, 1.0]
+PINNED_GRIDS = {
+    ("unit", "auto"): "fdb4f8ef31fbc49391dcc8c12499e584ecdf4ddc4bd49247c1b4c00f4eedf4b0",
+    ("unit", "general"): "a999467f211d5aff9094ad32147f252703f228ddc746cda0c6ab0e63c9fb3fc1",
+    (1, "auto"): "e8a83b9114e6038d731b6f864476d93d18b3399fda5e7233415e5f3c2849e4f2",
+    (1, "general"): "fe70f55d9400388a3730cf0e9e0f8db5e547b0185a0298c58bc30ed584154516",
+    (2, "auto"): "47d58cdd78fc50dd0a660a23ea67c51aba359d529c1252d1fa0b03fe6797cc97",
+    (2, "general"): "4323ba82fc4bc31e2085d36eb384a344a054ce13dacad108cbba46bcbaf202af",
+}
+
+
+@pytest.mark.parametrize("cube_seed, method", list(PINNED_GRIDS))
+def test_region_grid_pinned_output(cube_seed, method):
+    # The unit cube, or a random cube seeded by cube_seed.
+    cube = unit_cube() if cube_seed == "unit" else random_combinatorial_cube(np.random.default_rng(cube_seed))
+    cells = region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method=method)
+    assert (0, 0, 4) in {qc.inertia for _, _, qc in cells}
+    assert hashlib.sha256(repr(cells).encode()).hexdigest() == PINNED_GRIDS[cube_seed, method]
