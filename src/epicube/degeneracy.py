@@ -33,13 +33,16 @@ FACETS = (
 FACET_IDX = np.array([[CUBE_POS[lab] for lab in facet] for facet in FACETS])
 
 # Reduced Turnbull-Young invariant: four signed products of five 4-point
-# brackets over the 10-point labeling.
+# brackets over the 10-point labeling.  Focal labels 4 and 5 lead their
+# brackets (an even permutation per monomial, so the signs stand), and the
+# twenty brackets share the ten trailing triples of TY_TRIPLES.
 TY_MONOMIALS = (
-    (+1, ((0, 1, 3, 5), (0, 2, 4, 7), (1, 2, 6, 8), (3, 4, 6, 9), (5, 7, 8, 9))),
-    (-1, ((0, 1, 3, 4), (0, 2, 5, 7), (1, 2, 6, 8), (3, 5, 6, 9), (4, 7, 8, 9))),
-    (+1, ((0, 1, 2, 5), (0, 3, 4, 6), (1, 3, 7, 8), (2, 4, 7, 9), (5, 6, 8, 9))),
-    (-1, ((0, 1, 2, 4), (0, 3, 5, 6), (1, 3, 7, 8), (2, 5, 7, 9), (4, 6, 8, 9))),
+    (+1, ((5, 0, 1, 3), (4, 0, 2, 7), (1, 2, 6, 8), (4, 3, 6, 9), (5, 7, 8, 9))),
+    (-1, ((4, 0, 1, 3), (5, 0, 2, 7), (1, 2, 6, 8), (5, 3, 6, 9), (4, 7, 8, 9))),
+    (+1, ((5, 0, 1, 2), (4, 0, 3, 6), (1, 3, 7, 8), (4, 2, 7, 9), (5, 6, 8, 9))),
+    (-1, ((4, 0, 1, 2), (5, 0, 3, 6), (1, 3, 7, 8), (5, 2, 7, 9), (4, 6, 8, 9))),
 )
+TY_TRIPLES = tuple(dict.fromkeys(idx[1:] for _, brackets in TY_MONOMIALS for idx in brackets))
 
 # Degree-2 Veronese monomial table: monomial k is x[VERONESE_I[k]] *
 # x[VERONESE_J[k]], in the order x1^2, x1x2, x1x3, x1x4, x2^2, x2x3, x2x4,
@@ -167,12 +170,14 @@ def bracket(p, q, r, s):
 def invariant_terms(config):
     """The four signed bracket-product monomials of the reduced
     Turnbull-Young invariant over any ring; ``config`` is indexable by
-    label 0..9."""
+    label 0..9.  Bracket [h a b c] is h . cross4(a, b, c), one cross4 per triple."""
+    normals = {t: cross4(*(config[i] for i in t)) for t in TY_TRIPLES}
     terms = []
     for sign, brackets in TY_MONOMIALS:
         prod = sign
         for idx in brackets:
-            prod = prod * bracket(*(config[i] for i in idx))
+            p, n = config[idx[0]], normals[idx[1:]]
+            prod = prod * (p[0] * n[0] + p[1] * n[1] + p[2] * n[2] + p[3] * n[3])
         terms.append(prod)
     return terms
 

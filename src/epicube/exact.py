@@ -31,11 +31,13 @@ def _as_matrix(M, width=None):
 
 def _integer_rows(M, width=None):
     """The rows of the rational matrix M, each times the positive lcm of its
-    denominators, and those multipliers."""
+    denominators, and those multipliers; rows with multiplier 1 pass as they are
+    (ints, or Fractions of denominator 1, which ``_eliminate`` divides exactly)."""
     # ints and Fractions already carry a numerator and a denominator.
     rows = _as_matrix(M, width)
     mults = [lcm(*(x.denominator for x in r)) for r in rows]
-    return [[x.numerator * (m // x.denominator) for x in r] for r, m in zip(rows, mults)], mults
+    ints = [r if m == 1 else [x.numerator * (m // x.denominator) for x in r] for r, m in zip(rows, mults)]
+    return ints, mults
 
 
 def _eliminate(A):
@@ -138,10 +140,11 @@ def vanishing_certificate(rng, trials=100, controls=20):
 
     Returns a dict with counts: cube trials where the invariant vanished
     and the rank stayed <= 7, and controls where it did not vanish.  Raises
-    ValueError unless both ``trials`` and ``controls`` are at least 1.
+    ValueError unless ``trials`` and ``controls`` are integers (not bools) >= 1.
     """
-    if trials < 1 or controls < 1:
-        raise ValueError("trials and controls must be >= 1")
+    for v in (trials, controls):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError("trials and controls must be integers >= 1")
     vanished = rank_ok = nonzero_controls = 0
     for i in range(trials + controls):
         control = i >= trials
@@ -160,7 +163,8 @@ def vanishing_certificate(rng, trials=100, controls=20):
             nonzero_controls += invariant != 0
         else:
             vanished += invariant == 0
-            rank_ok += exact_rank(exact_veronese_matrix(cube)) <= 7
+            # w first: the same rank, and Bareiss pivots on the lift's constant column first.
+            rank_ok += exact_rank(exact_veronese_matrix([r[3:] + r[:3] for r in cube])) <= 7
     return {
         "trials": trials,
         "vanished": vanished,

@@ -127,6 +127,24 @@ def degenerate_matrices(draw):
     return rows
 
 
+@st.composite
+def lifted_point_sets(draw):
+    """1 to 10 points of P^3, ints or Fractions, some at infinity, with
+    repeated points and, at times, all of them on one plane: inputs whose
+    Veronese lift is often rank deficient."""
+    coord = draw(st.sampled_from([st.integers(-9, 9), ratios]))
+    point = st.tuples(coord, coord, coord, st.one_of(st.just(0), coord)).map(list)
+    n = draw(st.integers(1, 10))
+    points = draw(st.lists(point, min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        points[i] = list(points[draw(st.integers(0, n - 1))])
+    if draw(st.booleans()):
+        a, b, c = draw(st.lists(coord, min_size=3, max_size=3))
+        for p in points:
+            p[2] = a * p[0] + b * p[1] + c * p[3]
+    return points
+
+
 class TestExactRankKernel:
     def test_rank_matches_numpy_on_integers(self, rng):
         for _ in range(20):
@@ -142,6 +160,31 @@ class TestExactRankKernel:
             det = exact_det(rows)
             assert type(det) is Fraction
             assert det == (prod(pivots, start=Fraction(sign)) if len(pivots) == len(rows) else 0)
+
+    @given(lifted_point_sets(), st.permutations(range(4)))
+    @settings(max_examples=60, deadline=None)
+    def test_veronese_rank_ignores_coordinate_order(self, points, order):
+        # The certificate ranks the lift of its cube with w moved first.
+        rank = exact_rank(exact_veronese_matrix(points))
+        assert rank == len(reference_eliminate(exact_veronese_matrix(points))[0])
+        assert exact_rank(exact_veronese_matrix([[p[k] for k in order] for p in points])) == rank
+
+    @pytest.mark.parametrize(
+        "call, M",
+        [
+            (exact_rank, [[2, 4, 6, 1], [1, 3, 5, 7], [0, 2, 9, 4]]),
+            (exact_det, [[2, 1, 3], [4, 5, 6], [7, 8, 10]]),
+            (exact_turnbull_young, [[i, i * i, 3 - i, 1] for i in range(10)]),
+        ],
+        ids=["rank", "det", "invariant"],
+    )
+    def test_leaves_integer_rows_of_the_caller_unchanged(self, call, M):
+        # Rows of ints have multiplier 1 and reach the in-place elimination
+        # as they are, so the fresh lists of _as_matrix are all that keeps
+        # the caller's rows out of it.
+        before = [list(row) for row in M]
+        call(M)
+        assert M == before
 
 
 class TestCross4:
@@ -216,6 +259,32 @@ points = st.tuples(ratios, ratios, ratios, st.one_of(st.just(Fraction(0)), ratio
 configs = st.lists(points, min_size=10, max_size=10)
 
 
+# The invariant's table as first written, each bracket's labels in
+# increasing order.
+SORTED_TY_MONOMIALS = (
+    (+1, ((0, 1, 3, 5), (0, 2, 4, 7), (1, 2, 6, 8), (3, 4, 6, 9), (5, 7, 8, 9))),
+    (-1, ((0, 1, 3, 4), (0, 2, 5, 7), (1, 2, 6, 8), (3, 5, 6, 9), (4, 7, 8, 9))),
+    (+1, ((0, 1, 2, 5), (0, 3, 4, 6), (1, 3, 7, 8), (2, 4, 7, 9), (5, 6, 8, 9))),
+    (-1, ((0, 1, 2, 4), (0, 3, 5, 6), (1, 3, 7, 8), (2, 5, 7, 9), (4, 6, 8, 9))),
+)
+
+
+def reference_invariant_terms(config):
+    """The four monomials bracket by bracket on the sorted table, one cross
+    product per bracket.  An independent oracle for the shared-triple
+    ``invariant_terms``."""
+    terms = []
+    for sign, brackets in SORTED_TY_MONOMIALS:
+        prod = sign
+        for idx in brackets:
+            prod = prod * bracket(*(config[i] for i in idx))
+        terms.append(prod)
+    return terms
+
+
+int_points = st.tuples(*[st.integers(-50, 50)] * 3, st.one_of(st.just(0), st.integers(-50, 50)))
+
+
 class TestTurnbullYoungIntegerPath:
     """The invariant on integer rows against the invariant on Fractions,
     and the two invariances the integer path relies on: a point scaled by s
@@ -230,6 +299,13 @@ class TestTurnbullYoungIntegerPath:
         assert type(value) is Fraction
         fractions = [[Fraction(x) for x in p] for p in config]
         assert value == sum(invariant_terms(fractions), Fraction(0))
+
+    @given(st.one_of(configs, st.lists(int_points, min_size=10, max_size=10)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bracket_by_bracket_reference(self, config):
+        expected = reference_invariant_terms(config)
+        assert invariant_terms(config) == expected
+        assert exact_turnbull_young(config) == sum(expected)
 
     @given(configs, st.integers(0, 9), ratios)
     @settings(max_examples=40, deadline=None)
@@ -379,6 +455,21 @@ class TestSamplerPinned:
             rng = np.random.default_rng(seed)
             vanishing_certificate(rng, 10, 3)
             assert int(rng.integers(2**62)) == expected
+
+    @pytest.mark.parametrize(
+        "trials, controls",
+        [(2.5, 3), (3, 1.0), (True, 2), (3, True), ("3", 2)],
+        ids=["float-trials", "float-controls", "bool-trials", "bool-controls", "str-trials"],
+    )
+    def test_certificate_rejects_non_integer_counts(self, trials, controls):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="integers >= 1"):
+            vanishing_certificate(rng, trials, controls)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_certificate_takes_numpy_integer_counts(self):
+        res = vanishing_certificate(np.random.default_rng(0), np.int64(2), np.int64(1))
+        assert res == {"trials": 2, "vanished": 2, "rank_ok": 2, "controls": 1, "nonzero_controls": 1}
 
     @pytest.mark.parametrize("trials, controls", [(0, 3), (3, 0), (-3, 2), (0, 0)])
     def test_certificate_rejects_empty_counts(self, trials, controls):
