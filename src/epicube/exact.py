@@ -2,16 +2,16 @@
 
 The algebra itself (Veronese lift, brackets, the invariant, the cube
 closure) is the ring-generic code of ``degeneracy``, as is the integer cube
-sampler; this module runs the algebra on Python ints, each rational row
-scaled by the lcm of its denominators, and returns the Fractions it equals.
-It adds what only the rationals need: one fraction-free elimination behind
-the determinant and the rank, the rational samplers, and the randomized
-certificate that the reduced Turnbull-Young invariant vanishes on the
-facet-coplanarity variety of the combinatorial cube.
+sampler.  This module runs it on Python ints, each rational row times a
+positive integer, which keeps ranks and multiplies the invariant by a
+nonzero square.  It adds one fraction-free elimination behind the rank and
+the determinant (the public functions return the Fractions they equal), the
+rational samplers, and the randomized certificate that the reduced
+Turnbull-Young invariant vanishes on cubes, which draws its rows as ints.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import inf, lcm, prod
 
 import numpy as np
 
@@ -31,13 +31,11 @@ def _as_matrix(M, width=None):
 
 def _integer_rows(M, width=None):
     """The rows of the rational matrix M, each times the positive lcm of its
-    denominators, and those multipliers; rows with multiplier 1 pass as they are
-    (ints, or Fractions of denominator 1, which ``_eliminate`` divides exactly)."""
+    denominators, and those multipliers."""
     # ints and Fractions already carry a numerator and a denominator.
     rows = _as_matrix(M, width)
     mults = [lcm(*(x.denominator for x in r)) for r in rows]
-    ints = [r if m == 1 else [x.numerator * (m // x.denominator) for x in r] for r, m in zip(rows, mults)]
-    return ints, mults
+    return [[x.numerator * (m // x.denominator) for x in r] for r, m in zip(rows, mults)], mults
 
 
 def _eliminate(A):
@@ -105,11 +103,22 @@ def exact_turnbull_young(config):
     return Fraction(sum(invariant_terms(rows)), prod(mults) ** 2)
 
 
+def _random_row(rng, lo, hi, weights):
+    """One draw r_i in [lo, hi] per weight w_i, as the integer row (w_i r_i, 1)
+    times the lcm L > 0 of the draws' denominators."""
+    draws = []
+    for _ in weights:
+        den = int(rng.integers(1, 1001))
+        draws.append((int(rng.integers(int(lo * den), int(hi * den) + 1)), den))
+    L = lcm(*[den for _, den in draws])
+    return [w * num * (L // den) for w, (num, den) in zip(weights, draws)] + [L]
+
+
 def random_fraction(rng, lo, hi):
-    """Uniform-ish rational in [lo, hi] with denominator <= 1000."""
-    den = int(rng.integers(1, 1001))
-    num = int(rng.integers(int(lo * den), int(hi * den) + 1))
-    return Fraction(num, den)
+    """Uniform-ish rational in finite bounds lo <= hi, with denominator <= 1000."""
+    if not -inf < lo <= hi < inf:
+        raise ValueError("bounds must be finite with lo <= hi")
+    return Fraction(*_random_row(rng, lo, hi, (1,)))
 
 
 def random_rational_point(rng):
@@ -136,7 +145,10 @@ def vanishing_certificate(rng, trials=100, controls=20):
     Evaluates the exact invariant on random rational cubes (alternating
     normal-form and affinely mapped samples) with random rational focal
     points, checks the exact Veronese rank bound, and evaluates perturbed
-    non-cube controls that must give a nonzero invariant.
+    non-cube controls that must give a nonzero invariant.  All rows are
+    integers: diag(dens, 1) maps the cube to (nums, 1), and each drawn point
+    is then scaled by a positive integer s.  The map keeps the Veronese rank
+    and scales the invariant by det**5, s keeps it and scales it by s**2.
 
     Returns a dict with counts: cube trials where the invariant vanished
     and the rank stayed <= 7, and controls where it did not vanish.  Raises
@@ -149,22 +161,20 @@ def vanishing_certificate(rng, trials=100, controls=20):
     for i in range(trials + controls):
         control = i >= trials
         nums, dens = _integer_cube(rng, apply_map=control or bool(i % 2))
-        # The map diag(dens, 1) takes the cube to the integer points
-        # (nums, 1): it keeps the Veronese rank and scales the invariant by
-        # its determinant to the fifth power, which is nonzero.
         cube = [row + [1] for row in nums]
         if control:
-            # Knock vertex 8 (position 6) off its three facet planes.
-            cube[6] = [x + d * random_fraction(rng, 1, 3) / 7 for x, d in zip(nums[6], dens)] + [1]
-        f1 = [x * d for x, d in zip(random_rational_point(rng), dens)] + [1]
-        f2 = [x * d for x, d in zip(random_rational_point(rng), dens)] + [1]
-        invariant = exact_turnbull_young(exact_config_ten(cube, f1, f2))
+            # Knock vertex 8 (position 6) off its facets: x + d * r / 7, r in [1, 3], times 7 L.
+            *r, L = _random_row(rng, 1, 3, dens)
+            cube[6] = [7 * L * x + n for x, n in zip(nums[6], r)] + [7 * L]
+        f1, f2 = _random_row(rng, -10, 10, dens), _random_row(rng, -10, 10, dens)
+        invariant = sum(invariant_terms(exact_config_ten(cube, f1, f2)))
         if control:
             nonzero_controls += invariant != 0
         else:
             vanished += invariant == 0
             # w first: the same rank, and Bareiss pivots on the lift's constant column first.
-            rank_ok += exact_rank(exact_veronese_matrix([r[3:] + r[:3] for r in cube])) <= 7
+            lift = veronese_lift(np.array([[1] + row for row in nums], dtype=object))
+            rank_ok += len(_eliminate(lift.tolist())[0]) <= 7
     return {
         "trials": trials,
         "vanished": vanished,

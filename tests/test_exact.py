@@ -1,16 +1,19 @@
 from fractions import Fraction
-from math import prod
+from itertools import combinations
+from math import inf, nan, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epicube import exact
 from epicube.degeneracy import (
     CUBE_LABELS,
     MAX_CUBE_CANDIDATES,
     NORMAL_FORM_BASE,
     UNIT_CUBE_VERTICES,
+    _integer_cube,
     bracket,
     cross4,
     cube_closure,
@@ -18,6 +21,7 @@ from epicube.degeneracy import (
     is_combinatorial_cube,
     numerical_rank,
     random_combinatorial_cube,
+    veronese_lift,
     veronese_matrix,
 )
 from epicube.exact import (
@@ -26,6 +30,7 @@ from epicube.exact import (
     exact_rank,
     exact_turnbull_young,
     exact_veronese_matrix,
+    random_fraction,
     random_rational_cube,
     random_rational_point,
     vanishing_certificate,
@@ -179,9 +184,8 @@ class TestExactRankKernel:
         ids=["rank", "det", "invariant"],
     )
     def test_leaves_integer_rows_of_the_caller_unchanged(self, call, M):
-        # Rows of ints have multiplier 1 and reach the in-place elimination
-        # as they are, so the fresh lists of _as_matrix are all that keeps
-        # the caller's rows out of it.
+        # The elimination works in place, on rows that must be copies of
+        # the caller's, even where the rows are ints already.
         before = [list(row) for row in M]
         call(M)
         assert M == before
@@ -476,4 +480,102 @@ class TestSamplerPinned:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=">= 1"):
             vanishing_certificate(rng, trials, controls)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def reference_fraction(rng, lo, hi):
+    """The rational draw as first written: a denominator, then a numerator."""
+    den = int(rng.integers(1, 1001))
+    return Fraction(int(rng.integers(int(lo * den), int(hi * den) + 1)), den)
+
+
+def reference_certificate(rng, trials, controls):
+    """The certificate's loop on Fractions: rational focal points and
+    control vertex, then ``exact_turnbull_young`` and ``exact_rank`` of the
+    x, y, z, w lift.  Returns the counts, the ten rows of every evaluated
+    configuration and the eight rows of every ranked cube."""
+    counts = {"trials": trials, "vanished": 0, "rank_ok": 0, "controls": controls, "nonzero_controls": 0}
+    configs, ranked = [], []
+    for i in range(trials + controls):
+        control = i >= trials
+        nums, dens = _integer_cube(rng, apply_map=control or bool(i % 2))
+        cube = [row + [1] for row in nums]
+        if control:
+            cube[6] = [x + d * reference_fraction(rng, 1, 3) / 7 for x, d in zip(nums[6], dens)] + [1]
+        f1 = [d * reference_fraction(rng, -10, 10) for d in dens] + [1]
+        f2 = [d * reference_fraction(rng, -10, 10) for d in dens] + [1]
+        configs.append(exact_config_ten(cube, f1, f2))
+        invariant = exact_turnbull_young(configs[-1])
+        if control:
+            counts["nonzero_controls"] += invariant != 0
+        else:
+            counts["vanished"] += invariant == 0
+            counts["rank_ok"] += exact_rank(exact_veronese_matrix(cube)) <= 7
+            ranked.append(cube)
+    return counts, configs, ranked
+
+
+def positive_multiple(row, ref):
+    """row = s * ref for some s > 0, by cross-multiplication."""
+    pairs = list(zip(row, ref))
+    proportional = all(a * y == b * x for (a, x), (b, y) in combinations(pairs, 2))
+    return proportional and sum(a * x for a, x in pairs) > 0
+
+
+class TestCertificateIntegerRows:
+    """The certificate builds every row in integers from the same draws.
+    Any focal point keeps the invariant at 0 on a cube, so the counts alone
+    cannot show a mis-scaled row; here every row it evaluates must be a
+    positive multiple of the Fraction row, which keeps each verdict."""
+
+    def test_rows_are_positive_multiples_of_the_fraction_rows(self, monkeypatch):
+        evaluated, lifted = [], []
+
+        def record_terms(config):
+            evaluated.append([list(config[lab]) for lab in range(10)])
+            return invariant_terms(config)
+
+        def record_lift(P):
+            lifted.append(P.tolist())
+            return veronese_lift(P)
+
+        monkeypatch.setattr(exact, "invariant_terms", record_terms)
+        monkeypatch.setattr(exact, "veronese_lift", record_lift)
+        for seed in range(30):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            # The reference reaches both through the public functions.
+            counts, configs, ranked = reference_certificate(ref_rng, 10, 3)
+            evaluated.clear()
+            lifted.clear()
+            assert vanishing_certificate(rng, 10, 3) == counts
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert int(rng.integers(2**62)) == int(ref_rng.integers(2**62))
+            assert len(evaluated) == len(configs) == 13
+            for rows, ref in zip(evaluated, configs):
+                assert all(positive_multiple(a, b) for a, b in zip(rows, ref)), seed
+            # The certificate ranks the lift of the cube with w moved first.
+            assert len(lifted) == len(ranked) == 10
+            for rows, cube in zip(lifted, ranked):
+                assert all(positive_multiple(a, b[3:] + b[:3]) for a, b in zip(rows, cube)), seed
+
+
+class TestRandomFraction:
+    @pytest.mark.parametrize("lo, hi", [(-10, 10), (1, 3), (0, 0), (-2.5, 0.75)])
+    def test_matches_reference_draws(self, lo, hi):
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert [random_fraction(rng, lo, hi) for _ in range(5)] == [
+                reference_fraction(ref_rng, lo, hi) for _ in range(5)
+            ]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(3, 1), (-inf, 1), (0, inf), (nan, 1), (0, nan), (inf, inf)],
+        ids=["reversed", "lo-inf", "hi-inf", "lo-nan", "hi-nan", "both-inf"],
+    )
+    def test_rejects_bad_bounds_before_drawing(self, lo, hi):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="finite with lo <= hi"):
+            random_fraction(rng, lo, hi)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

@@ -1,6 +1,8 @@
 """Symbolic proofs on the normal-form cube: the reduced Turnbull-Young
 invariant vanishes on every combinatorial cube, whatever the two focal
-points, and the 8x10 Veronese matrix of every cube has rank at most 7.
+points, and the 8x10 Veronese matrix of every cube has rank at most 7;
+and for every camera pair, the constraint matrix Z of a cube's images is
+that Veronese matrix times a fixed 10x9 matrix, so rank Z <= 7 as well.
 
 The closure and invariant code that the float and rational paths run is
 evaluated here on integer polynomials: the normal-form cube with free
@@ -22,6 +24,7 @@ from epicube.degeneracy import (
     NORMAL_FORM_BASE,
     VERONESE_I,
     VERONESE_J,
+    _kron_rows,
     bracket,
     cross4,
     cube_closure,
@@ -89,3 +92,28 @@ def test_veronese_rank_at_most_seven_on_normal_form_cube():
     rows = [[0] + [quad[k] for quad in quadrics] for k in (0, 4, 7)]
     assert not cross4(*rows)[0].is_zero
     # So the kernel of the 8x10 lift has dimension >= 3: rank <= 7.
+
+
+def test_constraint_rows_factor_through_the_veronese_lift():
+    # kron(A2 p, A1 p) is quadratic in p, so it is a fixed 10x9 linear map
+    # M(A1, A2) of p's Veronese lift: for monomial k = p_a p_b, row k of M
+    # holds the coefficients A2[i, a] A1[j, b] (+ A2[i, b] A1[j, a] if a != b)
+    # of entry 3i + j.  Over the cube's eight points Z = V M, so rank Z <=
+    # rank V <= 7 for every camera pair.
+    cams = sympy.symbols("u:24")
+    coords = sympy.symbols("p:4")
+    gens = cams + coords
+
+    def poly(x):
+        return sympy.Poly(x, *gens, domain="ZZ")
+
+    A1 = np.array([poly(x) for x in cams[:12]], dtype=object).reshape(3, 4)
+    A2 = np.array([poly(x) for x in cams[12:]], dtype=object).reshape(3, 4)
+    p = np.array([[poly(x) for x in coords]], dtype=object)
+    a, b = VERONESE_I, VERONESE_J
+    off_diagonal = np.array([[int(i != j)] for i, j in zip(a, b)], dtype=object)[:, :, None]
+    M = A2[:, a].T[:, :, None] * A1[:, b].T[:, None, :]
+    M = (M + off_diagonal * (A2[:, b].T[:, :, None] * A1[:, a].T[:, None, :])).reshape(10, 9)
+    assert all(x.free_symbols <= set(cams) for x in M.ravel())
+    Z = _kron_rows(p @ A1.T, p @ A2.T)
+    assert all(x.is_zero for x in (veronese_lift(p) @ M - Z).ravel())
