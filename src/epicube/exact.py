@@ -11,7 +11,7 @@ Turnbull-Young invariant vanishes on cubes, which draws its rows as ints.
 """
 
 from fractions import Fraction
-from math import inf, lcm, prod
+from math import ceil, floor, inf, lcm, prod
 
 import numpy as np
 
@@ -115,10 +115,24 @@ def _random_row(rng, lo, hi, weights):
 
 
 def random_fraction(rng, lo, hi):
-    """Uniform-ish rational in finite bounds lo <= hi, with denominator <= 1000."""
+    """Uniform-ish rational in finite bounds lo <= hi, with denominator <= 1000:
+    a denominator, then a numerator in [lo, hi] times it, both drawn again
+    where no numerator fits.  Raises ValueError, drawing nothing, unless some
+    such rational fits and lo and hi times 1000 are int64s."""
     if not -inf < lo <= hi < inf:
         raise ValueError("bounds must be finite with lo <= hi")
-    return Fraction(*_random_row(rng, lo, hi, (1,)))
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not -(2**63) <= 1000 * lo <= 1000 * hi < 2**63:
+        raise ValueError("bounds times 1000 must be int64s")
+    if lo.denominator == hi.denominator == 1:
+        return Fraction(*_random_row(rng, lo.numerator, hi.numerator, (1,)))
+    if not any(ceil(lo * d) <= floor(hi * d) for d in range(1, 1001)):
+        raise ValueError("no rational with denominator <= 1000 lies in the bounds")
+    while True:
+        den = int(rng.integers(1, 1001))
+        a, b = ceil(lo * den), floor(hi * den)
+        if a <= b:
+            return Fraction(int(rng.integers(a, b + 1)), den)
 
 
 def random_rational_point(rng):

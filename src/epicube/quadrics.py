@@ -15,13 +15,14 @@ from .degeneracy import (
     VERONESE_I,
     VERONESE_J,
     _cross3,
+    bracket,
     cross4,
     kernel_basis,
     unit_cube,
     veronese_matrix,
 )
 from .exceptions import AtInfinity, NoQuadric, PencilOfQuadrics
-from .projective import DEFAULT_TOL, as_point, as_points, canon
+from .projective import DEFAULT_TOL, as_point, as_points, canon, homogenize
 
 RULED_NONDEGENERATE = "RULED_NONDEGENERATE"
 NONRULED_NONDEGENERATE = "NONRULED_NONDEGENERATE"
@@ -135,6 +136,31 @@ def _classify_stack(Q):
     margin = aw.min(axis=1) / np.where(wmax > 0, wmax, 1.0)
     # Positional arguments: the keyword form costs about 1.5 times as much.
     return list(map(QuadricClass, tags, inertias, margin.tolist()))
+
+
+def _nonruled(C, c1, c2):
+    """Whether the quadric through the CubeConfig C and affine centres c1, c2
+    is NONRULED_NONDEGENERATE by ``_classify_stack``.  Q through eight real
+    points is never definite, so the sign of det Q in Python floats decides
+    (det < 0 is (3, 1)) where ||Q||_F > 1e-4 S and |det Q| > 1e-8 ||Q||_F^4,
+    S = |(c1, 1)|^2 |(c2, 1)|^2: there each |eigenvalue| exceeds 1e-12 S and
+    1e-8 ||Q||_F, far above DEFAULT_TOL times the largest and the 7e-15 S by
+    which rounding, or the cameras' SVD centres, moved any on 30,000 pairs."""
+    planes, ab, S = C.planes.tolist(), [], 1.0
+    for x, y, z in (c1.tolist(), c2.tolist()):
+        s = [p0 * x + p1 * y + p2 * z + p3 for p0, p1, p2, p3 in planes]
+        ab.append((s[0] * s[1], s[2] * s[3], s[4] * s[5]))
+        S *= x * x + y * y + z * z + 1.0
+    l0, l1, l2 = _cross3(*ab)
+    q = [l0 * u + l1 * v + l2 * w for u, v, w in zip(*C.pencil.tolist())]
+    norm2 = sum(x * x for x in q)
+    if norm2 > 1e-8 * S * S:
+        det = bracket(q[0:4], q[4:8], q[8:12], q[12:16])
+        if abs(det) > 1e-8 * norm2 * norm2:
+            return det < 0
+    # The core decides the rest; a pencil of quadrics leaves the zero matrix, which is DEGENERATE.
+    Q, _ = _cube_quadrics(C, homogenize(np.array([c1, c2])))
+    return _classify_stack(Q)[0].tag == NONRULED_NONDEGENERATE
 
 
 def classify(Q):

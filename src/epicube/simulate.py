@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import _cross3, bracket, random_combinatorial_cube
+from .degeneracy import _cross3, random_combinatorial_cube
 from .estimators import ALGOS, _estimate_all, _fundamental
 from .exceptions import ExhaustedRetries
-from .quadrics import NONRULED_NONDEGENERATE, _classify_stack, _cube_quadrics
+from .quadrics import _nonruled
 from .projective import (
     _angles,
     _focal_points,
+    _unit,
     as_points,
     dehomogenize,
     homogenize,
@@ -70,9 +71,12 @@ class ExperimentConfig:
 
 
 def look_at_camera(f):
-    """Camera [R | -R f] at affine center f, principal axis toward origin."""
+    """Camera [R | -R f] at affine center f, principal axis toward origin; a
+    zero or non-finite center raises ValueError."""
     f = np.asarray(f, dtype=float).reshape(3)
-    z = -f / np.linalg.norm(f)
+    if not (np.isfinite(f).all() and f.any()):
+        raise ValueError("camera center must be finite and nonzero")
+    z = -_unit(f[None])[0]
     up = (0.0, 1.0, 0.0) if abs(z[2]) > 0.99 else (0.0, 0.0, 1.0)
     # up x z and z x x in Python floats: np.cross costs about 20 us per call.
     x = np.array(_cross3(up, z.tolist()))
@@ -157,29 +161,6 @@ def _seed_of(seq):
     return int(seq.generate_state(1)[0])
 
 
-def _surely_ruled(cube, c1, c2):
-    """True where the gate surely rejects the cameras at affine centres c1,
-    c2: the sign of det Q shows Q is not (3, 1); False leaves the pair to it.
-
-    Q is ``cube_quadric``'s in Python floats from the sampled centres;
-    through eight real points it is never definite, so det Q > 0 is ruled
-    (Sylvester).  Scaling a centre scales Q; on 30,000 sampled pairs the
-    gate's SVD centres moved no entry of Q by more than 1.7e-15 S, S =
-    |(c1, 1)|^2 |(c2, 1)|^2, so no eigenvalue by more than 7e-15 S.  With
-    ||Q||_F > 1e-4 S and det Q > 1e-8 ||Q||_F^4 each |eigenvalue| exceeds
-    1e-8 ||Q||_F > 1e-12 S, so the gate's Q has the same signs.
-    """
-    planes, ab, S = cube.planes.tolist(), [], 1.0
-    for x, y, z in (c1.tolist(), c2.tolist()):
-        s = [p0 * x + p1 * y + p2 * z + p3 for p0, p1, p2, p3 in planes]
-        ab.append((s[0] * s[1], s[2] * s[3], s[4] * s[5]))
-        S *= x * x + y * y + z * z + 1.0
-    l0, l1, l2 = _cross3(*ab)
-    q = [l0 * u + l1 * v + l2 * w for u, v, w in zip(*cube.pencil.tolist())]
-    norm2 = sum(x * x for x in q)
-    return norm2 > 1e-8 * S * S and bracket(q[0:4], q[4:8], q[8:12], q[12:16]) > 1e-8 * norm2 * norm2
-
-
 def _geometry(cfg, trial_idx):
     """A trial's well-posed geometry and noise draw: (cube_seed, cam_seed,
     z, F_true, X, Y), z the standard normals that perturb X, then Y."""
@@ -196,16 +177,12 @@ def _geometry(cfg, trial_idx):
         if attempt % 16 == 0:
             cube = random_combinatorial_cube(cube_rng)
         c1, c2 = _camera_centres(cam_rng, CAMERA_RADIUS)
-        if _surely_ruled(cube, c1, c2):
-            continue
-        A1, A2 = look_at_camera(c1), look_at_camera(c2)
-        # A pencil of quadrics leaves the zero matrix, which is DEGENERATE.
-        c = _focal_points(np.array([A1, A2]))
-        if _classify_stack(_cube_quadrics(cube, c)[0])[0].tag == NONRULED_NONDEGENERATE:
+        if _nonruled(cube, c1, c2):
             break
     else:
         raise ExhaustedRetries(f"no non-ruled geometry in {MAX_GEOMETRY_ATTEMPTS} attempts")
-    F_true = _fundamental(A1, A2, *c)
+    A1, A2 = look_at_camera(c1), look_at_camera(c2)
+    F_true = _fundamental(A1, A2, *_focal_points(np.array([A1, A2])))
     X = project_all(A1, cube.vertices)
     Y = project_all(A2, cube.vertices)
     z = np.random.default_rng(noise_ss).standard_normal((2, len(X), 2))

@@ -569,6 +569,25 @@ class TestRandomFraction:
             ]
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.6), (-0.6, -0.5), (0.3333, 0.3334), (2.25, 2.2501)])
+    def test_stays_in_non_integer_bounds(self, lo, hi):
+        # A numerator truncated toward zero fell below a positive lo or above
+        # a negative hi.
+        rng = np.random.default_rng(0)
+        draws = [random_fraction(rng, lo, hi) for _ in range(2000)]
+        assert all(Fraction(lo) <= x <= Fraction(hi) and x.denominator <= 1000 for x in draws)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.3331, 0.3332), (0.001, 0.001), (1e16, 1e16), (-1e16, 0), (0, 9.3e15)],
+        ids=["no-rational", "float-point", "lo-int64", "neg-int64", "hi-int64"],
+    )
+    def test_rejects_bounds_without_a_draw_before_drawing(self, lo, hi):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="denominator <= 1000|int64"):
+            random_fraction(rng, lo, hi)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     @pytest.mark.parametrize(
         "lo, hi",
         [(3, 1), (-inf, 1), (0, inf), (nan, 1), (0, nan), (inf, inf)],

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epicube import simulate
+from epicube import quadrics, simulate
 from epicube.degeneracy import random_combinatorial_cube, unit_cube
 from epicube.estimators import fundamental_from_cameras
 from epicube.exceptions import EpicubeError, ExhaustedRetries
@@ -13,10 +13,9 @@ from epicube.projective import _focal_points, dehomogenize, focal_point, homogen
 from epicube.quadrics import (
     DEGENERATE,
     NONRULED_NONDEGENERATE,
-    RULED_NONDEGENERATE,
-    QuadricClass,
     _classify_stack,
     _cube_quadrics,
+    _nonruled,
     classify,
     cube_quadric,
 )
@@ -51,6 +50,24 @@ class TestLookAtCamera:
         A = look_at_camera(rng.uniform(-5, 5, 3))
         R = A[:, :3]
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "centre", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 1.0, 0.0]], ids=["zero", "nan", "inf"]
+    )
+    def test_rejects_zero_and_non_finite_centres(self, centre):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            look_at_camera(centre)
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e-200, 1e200, 2.0**1000])
+    def test_tiny_and_huge_centres(self, rng, scale):
+        # The norm of f would under- or overflow; a power-of-two scale leaves
+        # the rotation's bits as they are.
+        f = rng.uniform(-5, 5, 3)
+        A, ref = look_at_camera(scale * f), look_at_camera(f)
+        assert np.isfinite(A).all()
+        assert np.allclose(A[:, :3], ref[:, :3], rtol=0.0, atol=1e-15)
+        assert np.array_equal(A[:, :3], ref[:, :3]) or math.frexp(scale)[0] != 0.5
+        assert np.array_equal(A[:, 3], -A[:, :3] @ (scale * f))
 
     def test_matches_np_cross_bit_for_bit(self, rng):
         # The written-out cross products round each product on its own, as
@@ -289,55 +306,59 @@ class TestRunTrial:
         assert by_algo["cube8"].angle_rad < 1e-8
 
     def test_always_ruled_geometry_exhausts_budget(self, monkeypatch):
-        ruled = QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0))
-        monkeypatch.setattr(simulate, "_classify_stack", lambda Q: [ruled] * len(Q))
+        calls = []
+        monkeypatch.setattr(simulate, "_nonruled", lambda C, c1, c2: calls.append(1) and False)
         monkeypatch.setattr(simulate, "MAX_GEOMETRY_ATTEMPTS", 20)
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=11)
         with pytest.raises(ExhaustedRetries):
             run_trial(cfg, 0)
+        assert len(calls) == 20
 
     def test_gate_retries_after_a_failed_quadric(self, monkeypatch):
-        # A first pair whose quadric cannot be fitted (the quadric core gives
-        # the zero matrix where a pencil fits) is skipped like a first pair
-        # that the classification rejects.  Trial 6 of seed 0 accepts its
-        # first pair, so both runs differ from the unpatched one.
+        # A first pair whose quadric is zero (a pencil fits: both centres on
+        # the line where the unit cube's planes z = -1 and y = -1 meet) is
+        # skipped like a first pair that the predicate rejects.  Trial 6 of
+        # seed 0 accepts its first pair, so both runs differ from the
+        # unpatched one.
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0)
+        zero_pair = unit_cube(), np.array([6.0, -1.0, -1.0]), np.array([-6.0, -1.0, -1.0])
+        real, cores = simulate._nonruled, []
 
-        def failing_first(name, first):
-            real, calls = getattr(simulate, name), []
+        def geometry(first):
+            calls = []
 
             def patched(*args):
                 calls.append(args)
-                return first() if len(calls) == 1 else real(*args)
+                return first(*args) if len(calls) == 1 else real(*args)
 
-            monkeypatch.setattr(simulate, name, patched)
-            return calls
-
-        def pencil():
-            return np.zeros((1, 4, 4)), np.array([False])
-
-        def geometry():
+            monkeypatch.setattr(simulate, "_nonruled", patched)
             g = simulate._geometry(cfg, 6)
-            monkeypatch.undo()
-            return g
+            monkeypatch.setattr(simulate, "_nonruled", real)
+            return g, len(calls)
 
-        unpatched = geometry()
-        calls = failing_first("_classify_stack", lambda: [QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0))])
-        rejected = geometry()
-        attempts = len(calls)
-        calls = failing_first("_cube_quadrics", pencil)
-        failed = geometry()
-        assert len(calls) == attempts > 1
+        unpatched, first_attempts = geometry(real)
+        rejected, attempts = geometry(lambda *args: False)
+        monkeypatch.setattr(quadrics, "_classify_stack", lambda Q: cores.append(Q) or _classify_stack(Q))
+        failed, failed_attempts = geometry(lambda *args: real(*zero_pair))
+        assert first_attempts == 1 and failed_attempts == attempts > 1
+        assert not cores[0].any()
         assert all(np.array_equal(a, b) for a, b in zip(failed, rejected))
         assert not np.array_equal(failed[4], unpatched[4])
 
-    def test_geometry_matches_the_public_gate(self):
+    # Trial 32 of seed 0 accepts, and these (seed, trial) reject (0, 1644;
+    # 7, 1388 and 1654) or accept (7, 302), a pair that the sign of det Q
+    # leaves to the stacked core.
+    BAND = ((0, 1644), (7, 302), (7, 1388), (7, 1654))
+
+    def test_geometry_matches_the_public_gate(self, monkeypatch):
         # Reference: the gate through the public functions, one focal_point
         # per camera, cube_quadric, classify and fundamental_from_cameras, on
-        # the per-draw camera sampler.  The sweep's cores give the same
-        # verdicts, cameras and F_true bit for bit.
-        cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0)
-        for t in range(40):
+        # the per-draw camera sampler.  The sweep's predicate and cores give
+        # the same verdicts, cameras and F_true bit for bit.
+        cores = []
+        monkeypatch.setattr(quadrics, "_classify_stack", lambda Q: cores.append(Q) or _classify_stack(Q))
+        for seed, t in [(0, t) for t in range(40)] + list(self.BAND):
+            cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=seed)
             cube_ss, cam_ss, noise_ss = np.random.SeedSequence([cfg.seed, t]).spawn(3)
             cube_rng, cam_rng = np.random.default_rng(cube_ss), np.random.default_rng(cam_ss)
             cube = random_combinatorial_cube(cube_rng)
@@ -355,8 +376,10 @@ class TestRunTrial:
             z = np.random.default_rng(noise_ss).standard_normal((2, 8, 2))
             F_true = fundamental_from_cameras(A1, A2)
             expected = (simulate._seed_of(cube_ss), simulate._seed_of(cam_ss), z, F_true, X, Y)
+            cores.clear()
             got = simulate._geometry(cfg, t)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (seed, t)
+            assert len(cores) == ((seed, t) in self.BAND or (seed, t) == (0, 32)), (seed, t)
 
     def test_levels_are_common_random_numbers(self):
         # Each level of a sweep gives the records of a sweep at that level
@@ -369,63 +392,76 @@ class TestRunTrial:
             assert repr([r for r in records if r.noise == lv]) == repr(alone)
 
 
+def gate(cube, centres):
+    """The sweep's former gate on stacks of centre pairs: look-at cameras,
+    their SVD centres, ``_cube_quadrics`` and ``_classify_stack``; whether
+    each pair is NONRULED_NONDEGENERATE."""
+    c = _focal_points(np.array([look_at_camera(f) for pair in centres for f in pair])).reshape(-1, 2, 4)
+    Q = np.concatenate([_cube_quadrics(C, pair)[0] for C, pair in zip(cube, c)])
+    return [qc.tag == NONRULED_NONDEGENERATE for qc in _classify_stack(Q)]
+
+
 class TestRuledScreen:
     def test_rejects_only_what_the_gate_rejects(self):
-        # Every pair the det Q screen rejects is rejected by the gate, on
-        # 5,000 sampled pairs with a fresh cube every 10; the screen rejects
-        # most of them and passes some.
+        # The predicate accepts exactly the pairs the gate accepts, on 5,000
+        # sampled pairs with a fresh cube every 10, and gives both verdicts.
         rng = np.random.default_rng(23)
-        verdicts = []
+        cubes, centres = [], []
         for i in range(5000):
             if i % 10 == 0:
                 cube = random_combinatorial_cube(rng)
-            c1, c2 = simulate._camera_centres(rng, simulate.CAMERA_RADIUS)
-            screened = simulate._surely_ruled(cube, c1, c2)
-            if screened:
-                Q, _ = _cube_quadrics(cube, _focal_points(np.array([look_at_camera(c1), look_at_camera(c2)])))
-                assert _classify_stack(Q)[0].tag != NONRULED_NONDEGENERATE
-            verdicts.append(screened)
+            cubes.append(cube)
+            centres.append(simulate._camera_centres(rng, simulate.CAMERA_RADIUS))
+        verdicts = [_nonruled(C, *pair) for C, pair in zip(cubes, centres)]
+        assert verdicts == gate(cubes, centres)
         assert 0 < sum(verdicts) < len(verdicts)
 
-    def test_near_pencil_pairs_go_to_the_gate(self, rng):
+    def test_near_pencil_pairs_go_to_the_gate(self, monkeypatch, rng):
         # Centres c and -c + 1e-5 d nearly see the unit cube's planes alike,
         # so Q is near a pencil, ||Q||_F << |c1|^2 |c2|^2, and its rounding
-        # is no longer small against it: the screen leaves these to the gate
-        # even where det Q alone would decide.
-        decided = 0
+        # is no longer small against it: the sign of det Q leaves these to the
+        # stacked core, even where det Q alone would decide.
+        cores, decided, pairs = [], 0, []
+        monkeypatch.setattr(quadrics, "_classify_stack", lambda Q: cores.append(Q) or _classify_stack(Q))
         for _ in range(200):
             c = rng.standard_normal(3)
             c *= simulate.CAMERA_RADIUS / np.linalg.norm(c)
-            centres = c, -c + 1e-5 * rng.standard_normal(3)
-            assert not simulate._surely_ruled(unit_cube(), *centres)
-            Q = _cube_quadrics(unit_cube(), _focal_points(np.array([look_at_camera(f) for f in centres])))[0][0]
-            decided += np.linalg.det(Q) > 1e-8 * np.linalg.norm(Q) ** 4
+            pairs.append((c, -c + 1e-5 * rng.standard_normal(3)))
+            _nonruled(unit_cube(), *pairs[-1])
+            assert len(cores) == len(pairs)
+            Q = cores[-1][0]
+            decided += abs(np.linalg.det(Q)) > 1e-8 * np.linalg.norm(Q) ** 4
+        monkeypatch.undo()
         assert decided > 0
+        assert [_nonruled(unit_cube(), *pair) for pair in pairs] == gate([unit_cube()] * len(pairs), pairs)
 
     def test_zero_quadric_reaches_the_gate(self, monkeypatch):
         # Both centres on the line where the unit cube's facet planes z = -1
         # and y = -1 meet: a pencil of quadrics fits, Q is zero, and the
-        # screen leaves the pair to the gate, which finds it DEGENERATE.
+        # sign of det Q leaves the pair to the stacked core, which finds it
+        # DEGENERATE.
         centres = np.array([6.0, -1.0, -1.0]), np.array([-6.0, -1.0, -1.0])
-        pair = [look_at_camera(c) for c in centres]
-        assert not simulate._surely_ruled(unit_cube(), *centres)
-        Q, ok = _cube_quadrics(unit_cube(), _focal_points(np.array(pair)))
+        Q, ok = _cube_quadrics(unit_cube(), homogenize(np.array(centres)))
         assert not ok[0] and _classify_stack(Q)[0].tag == DEGENERATE
         # In the sweep's loop: the first pair of a trial on the unit cube
-        # reaches the quadric core.
-        sampler, seen = simulate._camera_centres, []
-        quadrics = simulate._cube_quadrics
+        # reaches the quadric core, is rejected and the loop draws again.
+        sampler, seen, drawn = simulate._camera_centres, [], []
+
+        def scripted(rng, radius):
+            drawn.append(1)
+            return centres if len(drawn) == 1 else sampler(rng, radius)
+
         monkeypatch.setattr(simulate, "random_combinatorial_cube", lambda rng: unit_cube())
-        monkeypatch.setattr(simulate, "_camera_centres", lambda rng, r: centres if not seen else sampler(rng, r))
-        monkeypatch.setattr(simulate, "_cube_quadrics", lambda C, c: seen.append(c) or quadrics(C, c))
+        monkeypatch.setattr(simulate, "_camera_centres", scripted)
+        monkeypatch.setattr(quadrics, "_classify_stack", lambda Q: seen.append(Q) or _classify_stack(Q))
         simulate._geometry(ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0), 0)
-        assert np.array_equal(seen[0], _focal_points(np.array(pair)))
-        assert len(seen) > 1
+        assert not seen[0].any() and len(drawn) > 1
 
     def test_cameras_only_for_screened_pairs(self, monkeypatch):
-        # The sweep screens the centres it drew and builds the two look-at
-        # cameras only for a pair that reaches the gate.
-        counts = {"_surely_ruled": 0, "look_at_camera": 0, "_cube_quadrics": 0}
+        # The sweep decides each pair on the centres it drew and builds the
+        # two look-at cameras and their SVD centres once per trial, for the
+        # pair it accepts.
+        counts = {"_nonruled": 0, "look_at_camera": 0, "_focal_points": 0}
         for name in counts:
             real = getattr(simulate, name)
 
@@ -437,8 +473,8 @@ class TestRuledScreen:
         cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0)
         for t in range(10):
             simulate._geometry(cfg, t)
-        assert counts["look_at_camera"] == 2 * counts["_cube_quadrics"]
-        assert counts["_surely_ruled"] > counts["_cube_quadrics"] >= 10
+        assert counts["look_at_camera"] == 2 * counts["_focal_points"] == 20
+        assert counts["_nonruled"] > 10
 
 
 class TestSweep:
