@@ -288,9 +288,9 @@ def _kron_rows(X, Y):
 
 
 def _ranks(s, rank_tol=DEFAULT_TOL):
-    """Number of singular values above rank_tol * sigma_max, for each row of
-    a (..., k) stack of singular values in descending order."""
-    return np.where(s[..., 0] > 0.0, np.sum(s > rank_tol * s[..., :1], axis=-1), 0)
+    """Number of singular values above rank_tol * sigma_max, 0 for an empty
+    or all-zero row, for each row of a (..., k) descending stack."""
+    return np.sum(s > rank_tol * s[..., :1], axis=-1)
 
 
 def numerical_rank(M, rank_tol=DEFAULT_TOL):
@@ -351,11 +351,13 @@ def random_combinatorial_cube(rng):
 
     Each candidate is an exact ``_integer_cube`` draw with its affine map,
     and each coordinate is rounded once, so the facet coplanarities hold to
-    rounding error and the floats are those of
-    ``exact.random_rational_cube``.  Samples are rejected until
-    ``CubeConfig`` accepts one, most first by ``_surely_nonconvex`` on the
-    normal form: an accepted map is zero (flat) or invertible, and with the
-    box fit scales every value the screen reads by one nonzero determinant.
+    rounding error and each candidate's floats are those of the same draw of
+    ``exact.random_rational_cube``, which rejects nothing: from one seed the
+    two return the same cube only where the first candidate is accepted.
+    Samples are rejected until ``CubeConfig`` accepts one, most first by
+    ``_surely_nonconvex`` on the normal form: an accepted map is zero (flat)
+    or invertible, and with the box fit scales every value the screen reads
+    by one nonzero determinant.
     """
     for _ in range(MAX_CUBE_CANDIDATES):
         try:

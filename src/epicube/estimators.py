@@ -149,8 +149,12 @@ def _solution(roots, candidates):
 
 
 def pencil_solve(F1, F2):
-    """Real roots of det(alpha*F1 + (1-alpha)*F2) = 0 plus their matrices."""
-    return _solution(*_one(pencil.solve, [np.reshape(F1, 9), np.reshape(F2, 9)]))
+    """Real roots of det(alpha*F1 + (1-alpha)*F2) = 0 plus their matrices;
+    ValueError unless both generators are finite."""
+    G = np.array([np.reshape(F1, 9), np.reshape(F2, 9)], dtype=float)
+    if not np.isfinite(G).all():
+        raise ValueError("pencil generators must be finite")
+    return _solution(*_one(pencil.solve, G))
 
 
 def seven_point(X, Y):

@@ -6,12 +6,12 @@ sampler.  This module runs it on Python ints, each rational row times a
 positive integer, which keeps ranks and multiplies the invariant by a
 nonzero square.  It adds one fraction-free elimination behind the rank and
 the determinant (the public functions return the Fractions they equal), the
-rational samplers, and the randomized certificate that the reduced
-Turnbull-Young invariant vanishes on cubes, which draws its rows as ints.
+rational samplers, and the randomized certificate, on int rows, that the
+reduced Turnbull-Young invariant vanishes on hexahedra with planar facets.
 """
 
 from fractions import Fraction
-from math import ceil, floor, inf, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -104,40 +104,21 @@ def exact_turnbull_young(config):
 
 
 def _random_row(rng, lo, hi, weights):
-    """One draw r_i in [lo, hi] per weight w_i, as the integer row (w_i r_i, 1)
-    times the lcm L > 0 of the draws' denominators."""
+    """One draw r_i in the integer bounds [lo, hi] per weight w_i, as the
+    integer row (w_i r_i, 1) times the lcm L > 0 of the draws' denominators."""
     draws = []
     for _ in weights:
         den = int(rng.integers(1, 1001))
-        draws.append((int(rng.integers(int(lo * den), int(hi * den) + 1)), den))
+        draws.append((int(rng.integers(lo * den, hi * den + 1)), den))
     L = lcm(*[den for _, den in draws])
     return [w * num * (L // den) for w, (num, den) in zip(weights, draws)] + [L]
 
 
-def random_fraction(rng, lo, hi):
-    """Uniform-ish rational in finite bounds lo <= hi, with denominator <= 1000:
-    a denominator, then a numerator in [lo, hi] times it, both drawn again
-    where no numerator fits.  Raises ValueError, drawing nothing, unless some
-    such rational fits and lo and hi times 1000 are int64s."""
-    if not -inf < lo <= hi < inf:
-        raise ValueError("bounds must be finite with lo <= hi")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not -(2**63) <= 1000 * lo <= 1000 * hi < 2**63:
-        raise ValueError("bounds times 1000 must be int64s")
-    if lo.denominator == hi.denominator == 1:
-        return Fraction(*_random_row(rng, lo.numerator, hi.numerator, (1,)))
-    if not any(ceil(lo * d) <= floor(hi * d) for d in range(1, 1001)):
-        raise ValueError("no rational with denominator <= 1000 lies in the bounds")
-    while True:
-        den = int(rng.integers(1, 1001))
-        a, b = ceil(lo * den), floor(hi * den)
-        if a <= b:
-            return Fraction(int(rng.integers(a, b + 1)), den)
-
-
 def random_rational_point(rng):
-    """Random affine rational point of P^3 with coordinates in [-10, 10]."""
-    return tuple([random_fraction(rng, -10, 10) for _ in range(3)] + [Fraction(1)])
+    """Random affine rational point of P^3 with coordinates in [-10, 10]: the
+    Fractions of one ``_random_row`` draw, the certificate's focal-point draw."""
+    *row, L = _random_row(rng, -10, 10, (1, 1, 1))
+    return tuple(Fraction(x, L) for x in row) + (Fraction(1),)
 
 
 def random_rational_cube(rng, apply_map=True):
@@ -154,15 +135,16 @@ def random_rational_cube(rng, apply_map=True):
 
 
 def vanishing_certificate(rng, trials=100, controls=20):
-    """Randomized certificate that the bracket invariant vanishes on cubes.
+    """Randomized certificate that the bracket invariant vanishes on every
+    hexahedron with the cube's six planar facets, convex or not.
 
-    Evaluates the exact invariant on random rational cubes (alternating
-    normal-form and affinely mapped samples) with random rational focal
-    points, checks the exact Veronese rank bound, and evaluates perturbed
-    non-cube controls that must give a nonzero invariant.  All rows are
-    integers: diag(dens, 1) maps the cube to (nums, 1), and each drawn point
-    is then scaled by a positive integer s.  The map keeps the Veronese rank
-    and scales the invariant by det**5, s keeps it and scales it by s**2.
+    Evaluates the exact invariant on ``_integer_cube`` draws, alternately
+    without and with the affine map, and random rational focal points, checks
+    the exact Veronese rank bound, and evaluates controls with one vertex off
+    its facets, which must not vanish.  All rows are integers: diag(dens, 1)
+    maps the cube to (nums, 1), and each drawn point is then scaled by a
+    positive integer s.  The map keeps the Veronese rank and scales the
+    invariant by det**5, s keeps it and scales it by s**2.
 
     Returns a dict with counts: cube trials where the invariant vanished
     and the rank stayed <= 7, and controls where it did not vanish.  Raises

@@ -101,12 +101,22 @@ def homogenize(pts):
     return np.concatenate([arr, np.ones(arr.shape[:-1] + (1,))], axis=-1)
 
 
+def _as_camera(camera):
+    """A camera as a float array; ValueError unless it is finite and 3x4."""
+    A = np.asarray(camera, dtype=float)
+    if A.shape != (3, 4):
+        raise ValueError(f"camera must be 3x4, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("camera entries must be finite")
+    return A
+
+
 def project_all(camera, P):
     """Project an (n, 4) world configuration; returns (n, 3) image points.
 
     Raises FocalPointProjection when any point is the camera center.
     """
-    A = np.asarray(camera, dtype=float)
+    A = _as_camera(camera)
     P = as_points(P, 4)
     # einsum matches A @ p bit for bit; P @ A.T does not, and its last-bit
     # changes can flip residual ties between candidates.
@@ -122,10 +132,7 @@ def project_all(camera, P):
 
 def focal_point(camera):
     """Camera center: the unique point (up to scale) with camera @ p = 0."""
-    A = np.asarray(camera, dtype=float)
-    if A.shape != (3, 4):
-        raise ValueError(f"camera must be 3x4, got {A.shape}")
-    return _focal_points(A[None])[0]
+    return _focal_points(_as_camera(camera)[None])[0]
 
 
 def _focal_points(A):

@@ -246,7 +246,11 @@ def region_grid(C, f1, chart, resolution, method="auto"):
     cube_quadric's facet pencil, for any combinatorial cube; ``"unit"``
     names the same pass for callers of the former unit-cube path.
     ``"general"`` fits each cell's 10-point quadric through the Veronese
-    kernel, the independent check of the closed form.  Cells without a
+    kernel, the independent check of the closed form.  It fits cell by
+    cell: one stacked SVD over a 50x50 grid matched every pinned grid but
+    raised the region benchmark's peak RSS, read after its check runs this
+    path on every kept unit-cube grid, from 45.1 to about 52 MiB (3-s runs,
+    2-core Xeon), past that metric's 10% bound.  Cells without a
     unique quadric are DEGENERATE with inertia (0, 0, 4).  ``C`` goes
     through CubeConfig on every method, so a non-cube raises ValueError.
     """

@@ -113,6 +113,15 @@ class TestRankAndKernel:
     def test_rank_of_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix(self, shape):
+        # An empty matrix has no singular values, hence no sigma_max to index.
+        M = np.zeros(shape)
+        assert numerical_rank(M) == 0
+        basis = kernel_basis(M)
+        assert len(basis) == shape[1]
+        assert np.array_equal(np.abs(np.array(basis).reshape(shape[1], shape[1])), np.eye(shape[1]))
+
 
 def labelled(cube_vertices, f1, f2):
     """The 10-point configuration as a list of float rows by label: the

@@ -552,6 +552,14 @@ class TestFundamentalFromCameras:
         with pytest.raises(CoincidentCenters):
             fundamental_from_cameras(A, 3.0 * A)
 
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_camera_is_rejected(self, standard_instance, which, bad):
+        cameras = [np.array(standard_instance[k], dtype=float) for k in ("A1", "A2")]
+        cameras[which][2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fundamental_from_cameras(*cameras)
+
     def test_matches_the_checked_expression(self, rng):
         # Reference: the expression with proj_equal and project_all, which check
         # their inputs again.  The sweep's look-at pairs and generic cameras
@@ -593,6 +601,15 @@ class TestPencilSolve:
         F2[0, 1] = 1.0
         with pytest.raises(IdenticallyZeroPencil):
             pencil_solve(F1, F2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_generators_are_rejected(self, rng, bad):
+        # Unchecked, the generators' SVD raised LinAlgError.
+        for which in (0, 1):
+            F = rng.standard_normal((2, 3, 3))
+            F[which, 1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                pencil_solve(*F)
 
     def test_triple_root_accuracy(self, standard_instance):
         # The standard instance's pencil determinant has a triple root;

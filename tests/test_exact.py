@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import inf, nan, prod
+from math import prod
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from epicube.exact import (
     exact_rank,
     exact_turnbull_young,
     exact_veronese_matrix,
-    random_fraction,
     random_rational_cube,
     random_rational_point,
     vanishing_certificate,
@@ -250,6 +249,20 @@ class TestTurnbullYoungExact:
         broken[6][0] += Fraction(1, 7)
         config2 = exact_config_ten([tuple(v) for v in broken], f1, f2)
         assert exact_turnbull_young(config2) != 0
+
+    def test_vanishes_on_convex_and_non_convex_draws(self):
+        # The certificate's draws, the map on every other one: most are not
+        # convex, and the invariant, which reads only the facet
+        # coplanarities, vanishes on both kinds.
+        rng = np.random.default_rng(0)
+        convex = []
+        for i in range(40):
+            nums, dens = _integer_cube(rng, apply_map=bool(i % 2))
+            verts = [tuple(Fraction(n, d) for n, d in zip(row, dens)) + (1,) for row in nums]
+            convex.append(is_combinatorial_cube(np.array(verts, dtype=float))[0])
+            config = exact_config_ten(verts, random_rational_point(rng), random_rational_point(rng))
+            assert exact_turnbull_young(config) == 0, i
+        assert 0 < sum(convex) < len(convex)
 
     def test_certificate_small_run(self, rng):
         res = vanishing_certificate(rng, trials=5, controls=3)
@@ -559,42 +572,14 @@ class TestCertificateIntegerRows:
                 assert all(positive_multiple(a, b[3:] + b[:3]) for a, b in zip(rows, cube)), seed
 
 
-class TestRandomFraction:
-    @pytest.mark.parametrize("lo, hi", [(-10, 10), (1, 3), (0, 0), (-2.5, 0.75)])
-    def test_matches_reference_draws(self, lo, hi):
+class TestRandomRationalPoint:
+    def test_matches_reference_draws(self):
+        # Three (denominator, numerator) draws in [-10, 10], in order, and
+        # the same generator state after each point.
         for seed in range(10):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert [random_fraction(rng, lo, hi) for _ in range(5)] == [
-                reference_fraction(ref_rng, lo, hi) for _ in range(5)
-            ]
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("lo, hi", [(0.5, 0.6), (-0.6, -0.5), (0.3333, 0.3334), (2.25, 2.2501)])
-    def test_stays_in_non_integer_bounds(self, lo, hi):
-        # A numerator truncated toward zero fell below a positive lo or above
-        # a negative hi.
-        rng = np.random.default_rng(0)
-        draws = [random_fraction(rng, lo, hi) for _ in range(2000)]
-        assert all(Fraction(lo) <= x <= Fraction(hi) and x.denominator <= 1000 for x in draws)
-
-    @pytest.mark.parametrize(
-        "lo, hi",
-        [(0.3331, 0.3332), (0.001, 0.001), (1e16, 1e16), (-1e16, 0), (0, 9.3e15)],
-        ids=["no-rational", "float-point", "lo-int64", "neg-int64", "hi-int64"],
-    )
-    def test_rejects_bounds_without_a_draw_before_drawing(self, lo, hi):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="denominator <= 1000|int64"):
-            random_fraction(rng, lo, hi)
-        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-
-    @pytest.mark.parametrize(
-        "lo, hi",
-        [(3, 1), (-inf, 1), (0, inf), (nan, 1), (0, nan), (inf, inf)],
-        ids=["reversed", "lo-inf", "hi-inf", "lo-nan", "hi-nan", "both-inf"],
-    )
-    def test_rejects_bad_bounds_before_drawing(self, lo, hi):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="finite with lo <= hi"):
-            random_fraction(rng, lo, hi)
-        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+            for _ in range(5):
+                point = random_rational_point(rng)
+                assert point == tuple(reference_fraction(ref_rng, -10, 10) for _ in range(3)) + (1,)
+                assert all(type(x) is Fraction for x in point)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -168,6 +168,22 @@ class TestCamera:
         with pytest.raises(ValueError, match="3x4"):
             focal_point(np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (2, 3, 4), (12,)])
+    def test_project_all_needs_a_3x4_camera(self, standard_instance, shape):
+        with pytest.raises(ValueError, match="3x4"):
+            project_all(np.ones(shape), standard_instance["cube"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_camera_is_rejected(self, standard_instance, bad):
+        # Unchecked, NaN gave NaN images and inf gave inf images; the centre's
+        # SVD raised LinAlgError, or for some cameras never returned.
+        A = np.array(standard_instance["A1"], dtype=float)
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            project_all(A, standard_instance["cube"])
+        with pytest.raises(ValueError, match="finite"):
+            focal_point(A)
+
     def test_stack_is_focal_point_bit_for_bit(self, rng, standard_instance):
         # One SVD of a stack gives each camera's centre as focal_point does,
         # for a pair of look-at cameras as the sweep's gate stacks them too.
