@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateIntersection, ExhaustedRetries, LengthMismatch
-from .projective import DEFAULT_TOL, _unit_rows, as_points
+from .projective import DEFAULT_TOL, _as_array, _unit_rows, as_points
 
 # Vertex labels of the cube inside the 10-point labeling; 4 and 5 are the
 # focal-point slots.
@@ -295,7 +295,7 @@ def _ranks(s, rank_tol=DEFAULT_TOL):
 
 def numerical_rank(M, rank_tol=DEFAULT_TOL):
     """Number of singular values above rank_tol * sigma_max."""
-    return int(_ranks(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False), rank_tol))
+    return int(_ranks(np.linalg.svd(_as_array(M), compute_uv=False), rank_tol))
 
 
 def kernel_basis(M):
@@ -305,7 +305,7 @@ def kernel_basis(M):
     as do the extra right singular vectors when M has more columns than
     rows.  Returns a list of vectors; empty for full column rank.
     """
-    M = np.asarray(M, dtype=float)
+    M = _as_array(M)
     _, s, vt = np.linalg.svd(M, full_matrices=True)
     return [vt[i] for i in range(int(_ranks(s)), M.shape[1])]
 

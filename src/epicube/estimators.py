@@ -17,6 +17,7 @@ from . import pencil
 from .degeneracy import _kron_rows, _ranks
 from .exceptions import CoincidentCenters, DegenerateCloud, DegenerateInput, EpicubeError, LengthMismatch
 from .projective import (
+    _as_array,
     _canon_rows,
     _residuals,
     _unit_pairs,
@@ -151,9 +152,7 @@ def _solution(roots, candidates):
 def pencil_solve(F1, F2):
     """Real roots of det(alpha*F1 + (1-alpha)*F2) = 0 plus their matrices;
     ValueError unless both generators are finite."""
-    G = np.array([np.reshape(F1, 9), np.reshape(F2, 9)], dtype=float)
-    if not np.isfinite(G).all():
-        raise ValueError("pencil generators must be finite")
+    G = _as_array([np.reshape(F1, 9), np.reshape(F2, 9)], what="pencil generators")
     return _solution(*_one(pencil.solve, G))
 
 
@@ -178,7 +177,7 @@ def _seven_point(X, Y, failures, at=0):
 
 def eckart_young_rank7(Z):
     """Nearest rank-7 matrix in Frobenius norm (trailing sigmas zeroed)."""
-    U, s, Vt = np.linalg.svd(np.asarray(Z, dtype=float), full_matrices=False)
+    U, s, Vt = np.linalg.svd(_as_array(Z), full_matrices=False)
     s = s.copy()
     s[7:] = 0.0
     return (U * s) @ Vt

@@ -101,13 +101,14 @@ def homogenize(pts):
     return np.concatenate([arr, np.ones(arr.shape[:-1] + (1,))], axis=-1)
 
 
-def _as_camera(camera):
-    """A camera as a float array; ValueError unless it is finite and 3x4."""
-    A = np.asarray(camera, dtype=float)
-    if A.shape != (3, 4):
-        raise ValueError(f"camera must be 3x4, got {A.shape}")
+def _as_array(x, shape=None, what="matrix"):
+    """x as a float array; ValueError unless finite and, given a shape, of that shape."""
+    A = np.asarray(x, dtype=float)
+    if shape is not None and A.shape != shape:
+        dims = "x".join(map(str, shape)) if len(shape) > 1 else f"{shape[0]} numbers"
+        raise ValueError(f"{what} must be {dims}, got {A.shape}")
     if not np.isfinite(A).all():
-        raise ValueError("camera entries must be finite")
+        raise ValueError(f"{what} must be finite")
     return A
 
 
@@ -116,7 +117,7 @@ def project_all(camera, P):
 
     Raises FocalPointProjection when any point is the camera center.
     """
-    A = _as_camera(camera)
+    A = _as_array(camera, (3, 4), "camera")
     P = as_points(P, 4)
     # einsum matches A @ p bit for bit; P @ A.T does not, and its last-bit
     # changes can flip residual ties between candidates.
@@ -132,7 +133,7 @@ def project_all(camera, P):
 
 def focal_point(camera):
     """Camera center: the unique point (up to scale) with camera @ p = 0."""
-    return _focal_points(_as_camera(camera)[None])[0]
+    return _focal_points(_as_array(camera, (3, 4), "camera")[None])[0]
 
 
 def _focal_points(A):
@@ -145,18 +146,13 @@ def _focal_points(A):
 
 def canonical_fmatrix(F):
     """Unit Frobenius norm, first nonzero entry positive."""
-    F = np.asarray(F, dtype=float)
-    if F.shape != (3, 3):
-        raise ValueError(f"fundamental matrix must be 3x3, got {F.shape}")
-    return canon(F)
+    return canon(_as_array(F, (3, 3), "fundamental matrix"))
 
 
 def epipolar_residual(F, X, Y):
     """Scale-invariant algebraic residual sum((Y_i^T F X_i)^2) of a 3x3 F,
     with F at unit Frobenius norm and every point at unit Euclidean norm."""
-    F = np.asarray(F, dtype=float)
-    if F.shape != (3, 3):
-        raise ValueError(f"fundamental matrix must be 3x3, got {F.shape}")
+    F = _as_array(F, (3, 3), "fundamental matrix")
     return float(_residuals(F[None], *_unit_pairs(X, Y))[0])
 
 

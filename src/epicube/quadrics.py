@@ -22,7 +22,7 @@ from .degeneracy import (
     veronese_matrix,
 )
 from .exceptions import AtInfinity, NoQuadric, PencilOfQuadrics
-from .projective import DEFAULT_TOL, as_point, as_points, canon, homogenize
+from .projective import DEFAULT_TOL, _as_array, as_point, as_points, canon, homogenize
 
 RULED_NONDEGENERATE = "RULED_NONDEGENERATE"
 NONRULED_NONDEGENERATE = "NONRULED_NONDEGENERATE"
@@ -165,9 +165,7 @@ def _nonruled(C, c1, c2):
 
 def classify(Q):
     """QuadricClass from the inertia of the symmetric matrix."""
-    Q = np.asarray(Q, dtype=float).reshape(4, 4)
-    if not np.isfinite(Q).all():
-        raise ValueError("quadric matrix entries must be finite")
+    Q = _as_array(Q, what="quadric matrix").reshape(4, 4)
     # np.allclose(Q, Q.T, atol=...)'s test, written out at a third of its cost.
     if not np.all(np.abs(Q - Q.T) <= 1e-12 * max(1.0, np.abs(Q).max()) + 1e-5 * np.abs(Q.T)):
         raise ValueError("quadric matrix must be symmetric")
@@ -226,9 +224,7 @@ class PlaneChart:
 
     def __post_init__(self):
         for name, size in (("origin", 3), ("u_dir", 3), ("v_dir", 3), ("u_range", 2), ("v_range", 2)):
-            x = np.asarray(getattr(self, name), dtype=float)
-            if x.shape != (size,) or not np.isfinite(x).all():
-                raise ValueError(f"chart {name} must be {size} finite numbers")
+            _as_array(getattr(self, name), (size,), f"chart {name}")
 
     def point(self, u, v):
         """Homogeneous point at (u, v); arrays u, v broadcast to a stack."""

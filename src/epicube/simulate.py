@@ -99,36 +99,25 @@ def _camera_centres(rng, radius):
 
     Each draw makes rng.standard_normal(3) and rng.random() per center, in
     that order; 0.95 + (1.05 - 0.95) * random() is rng.uniform(0.95, 1.05)
-    bit for bit.  A screen in Python floats rejects draws below (1 - 1e-9)^2
-    times the squared bound.  Near the bound it rounds otherwise than numpy
-    (whose v.dot(v) may fuse multiply-adds) by a few ulps, far inside that
-    margin, so the exact numpy test, which redoes the draws that pass, would
-    reject every draw the screen rejects; and the margin is thin enough that
-    nearly every draw that passes is accepted.  Radii outside (1e-100, 1e100)
-    skip the screen, whose squares could leave the normal range.
+    bit for bit.  The separation is tested in units of the radius, so no
+    square under- or overflows at any radius and every radius accepts the
+    same draws.
     """
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
-    lim = MIN_SEPARATION * radius
-    screen = (lim * (1.0 - 1e-9)) ** 2 if 1e-100 < radius < 1e100 else 0.0
     for _ in range(MAX_CAMERA_DRAWS):
         v1 = rng.standard_normal(3)
-        r1 = radius * (0.95 + (1.05 - 0.95) * rng.random())
+        f1 = 0.95 + (1.05 - 0.95) * rng.random()
         v2 = rng.standard_normal(3)
-        r2 = radius * (0.95 + (1.05 - 0.95) * rng.random())
+        f2 = 0.95 + (1.05 - 0.95) * rng.random()
         (x1, y1, z1), (x2, y2, z2) = v1.tolist(), v2.tolist()
-        s1 = r1 / math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-        s2 = r2 / math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+        s1 = f1 / math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+        s2 = f2 / math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
         dx, dy, dz = s1 * x1 - s2 * x2, s1 * y1 - s2 * y2, s1 * z1 - s2 * z2
-        if dx * dx + dy * dy + dz * dz < screen:
-            continue
-        # Norms as sqrt(x.dot(x)), which is what np.linalg.norm computes for
-        # a vector, without its per-call overhead.
-        c1 = r1 * (v1 / math.sqrt(v1.dot(v1)))
-        c2 = r2 * (v2 / math.sqrt(v2.dot(v2)))
-        d = c1 - c2
-        if math.sqrt(d.dot(d)) >= lim:
-            return c1, c2
+        if dx * dx + dy * dy + dz * dz >= MIN_SEPARATION**2:
+            # Norms as sqrt(x.dot(x)), which is what np.linalg.norm computes
+            # for a vector, without its per-call overhead.
+            return radius * f1 * (v1 / math.sqrt(v1.dot(v1))), radius * f2 * (v2 / math.sqrt(v2.dot(v2)))
     raise ExhaustedRetries(f"no separated camera pair in {MAX_CAMERA_DRAWS} draws")
 
 
@@ -171,9 +160,9 @@ def _geometry(cfg, trial_idx):
     cube = random_combinatorial_cube(cube_rng)
     for attempt in range(1, MAX_GEOMETRY_ATTEMPTS + 1):
         # A ruled 10-point quadric is a critical configuration: several
-        # rank-2 pencil members fit the data exactly and no estimator can
-        # single one out.  Resample geometry until reconstruction is
-        # well-posed (a fresh cube every 16 camera draws).
+        # rank-2 pencil members fit the data exactly and residual selection
+        # cannot tell them apart (a facet score can; no estimator uses one).
+        # Resample until well-posed (a fresh cube every 16 camera draws).
         if attempt % 16 == 0:
             cube = random_combinatorial_cube(cube_rng)
         c1, c2 = _camera_centres(cam_rng, CAMERA_RADIUS)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -121,6 +124,29 @@ class TestRankAndKernel:
         basis = kernel_basis(M)
         assert len(basis) == shape[1]
         assert np.array_equal(np.abs(np.array(basis).reshape(shape[1], shape[1])), np.eye(shape[1]))
+
+    @pytest.mark.parametrize(
+        "helper", ["degeneracy.kernel_basis", "degeneracy.numerical_rank", "estimators.eckart_young_rank7"]
+    )
+    def test_svd_helpers_reject_non_finite_input(self, helper):
+        # Unchecked, the SVD of this matrix with an inf never returned (and
+        # numerical_rank gave 0), so the calls run in a child process that a
+        # timeout ends.
+        module, name = helper.split(".")
+        code = (
+            f"import math\nfrom epicube.{module} import {name}\n"
+            "for bad in (math.inf, math.nan):\n"
+            "    try:\n"
+            f"        {name}([[1, 0, 0, .3], [0, 1, 0, -.2], [bad, 0, 1, 6]])\n"
+            "    except ValueError as e:\n"
+            "        assert 'must be finite' in str(e), e\n"
+            "    else:\n"
+            "        raise SystemExit(f'no ValueError on {bad}')\n"
+        )
+        src = os.path.dirname(os.path.dirname(degeneracy.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
 
 
 def labelled(cube_vertices, f1, f2):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epicube import quadrics, simulate
 from epicube.degeneracy import random_combinatorial_cube, unit_cube
@@ -103,7 +105,7 @@ def reference_separation(draw, radius):
 
 
 def reference_pair(rng, radius):
-    """sample_camera_pair as one numpy expression per draw, with no screen."""
+    """sample_camera_pair as one numpy expression per draw, in absolute units."""
     for _ in range(simulate.MAX_CAMERA_DRAWS):
         draw = [(rng.standard_normal(3), rng.uniform(0.95, 1.05)) for _ in range(2)]
         centers, sep = reference_separation(draw, radius)
@@ -141,9 +143,9 @@ class ScriptedStream:
 class TestSampleCameraPair:
     @pytest.mark.parametrize("separation", [1.0, 1.5, 1.97])
     def test_matches_the_per_draw_sampler(self, separation, monkeypatch):
-        # The screen changes no camera and no generator state: after every
-        # call both samplers have drawn the same numbers.  Lower bounds send
-        # more draws through the exact test; 700 pairs per bound.
+        # The test in units of the radius changes no camera and no generator
+        # state: after every call both samplers have drawn the same numbers.
+        # Lower bounds accept more draws; 700 pairs per bound.
         monkeypatch.setattr(simulate, "MIN_SEPARATION", separation)
         fast, slow = np.random.default_rng(31), np.random.default_rng(31)
         for _ in range(700):
@@ -151,11 +153,10 @@ class TestSampleCameraPair:
             assert all(np.array_equal(a, b) for a, b in zip(pair, expected))
             assert fast.bit_generator.state == slow.bit_generator.state
 
-    def test_draws_at_the_bound_take_the_exact_test(self, rng):
-        # Draws within 1e-10 of the bound pass the screen and are settled by
-        # the exact test, which rejects those below the bound and accepts the
-        # first one above it; draws far below it are screened out.  Opposite
-        # directions put the centers r1 + r2 apart.
+    def test_draws_at_the_bound_match_the_reference(self, rng):
+        # Draws within 1e-10 below the bound are rejected and the first one
+        # above it is accepted, as the reference decides; draws far below it
+        # are rejected too.  Opposite directions put the centers r1 + r2 apart.
         radius, lim = 6.0, simulate.MIN_SEPARATION * 6.0
 
         def draw(eps):
@@ -175,8 +176,22 @@ class TestSampleCameraPair:
             expected = reference_pair(ScriptedStream([x for d in script for x in d]), radius)
             assert all(np.array_equal(a, b) for a, b in zip(pair, expected))
             assert stream.queue == []
-            # Three dot products for each draw that the exact test settles.
-            assert len(stream.dots) == 3 * (len(near) + 1)
+            # Only the accepted draw's two norms take a dot product.
+            assert len(stream.dots) == 2
+
+    @given(st.integers(-900, 1000), st.integers(0, 2**32 - 1))
+    @example(-900, 0)
+    @example(1000, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_any_radius_takes_the_same_draws(self, k, seed):
+        # The separation is tested in units of the radius, so at radius
+        # 6 * 2**k the sampler accepts the draws it accepts at radius 6, and
+        # each centre is 2**k times the centre there, bit for bit.
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        centres = simulate._camera_centres(rng, 6.0 * 2.0**k)
+        expected = simulate._camera_centres(ref, 6.0)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert all(np.array_equal(c, np.ldexp(e, k)) for c, e in zip(centres, expected))
 
     def test_radius_shell_and_separation(self, rng):
         for _ in range(10):
