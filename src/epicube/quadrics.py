@@ -6,6 +6,7 @@ with inertia (2,2) are ruled; a configuration of cube vertices plus two
 focal points on a ruled (or degenerate) quadric is the failure region.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .degeneracy import (
     veronese_matrix,
 )
 from .exceptions import AtInfinity, NoQuadric, PencilOfQuadrics
-from .projective import DEFAULT_TOL, _as_array, as_point, as_points, canon, homogenize
+from .projective import DEFAULT_TOL, _as_array, _unit_rows, as_point, as_points, canon, homogenize
 
 RULED_NONDEGENERATE = "RULED_NONDEGENERATE"
 NONRULED_NONDEGENERATE = "NONRULED_NONDEGENERATE"
@@ -30,12 +31,17 @@ EMPTY = "EMPTY"
 DEGENERATE = "DEGENERATE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadricClass:
     """Classification tag plus the canonicalized inertia (n+, n-, n0).
 
-    ``margin`` is min|eigenvalue| / max|eigenvalue|, the distance to a
-    signature change; exactly singular quadrics have margin ~ 0.
+    ``margin`` is the distance to a signature change, 0 for a singular
+    quadric.  From ``classify`` and ``region_grid(method="general")`` it is
+    min|eigenvalue| / max|eigenvalue|.  From region_grid's pencil pass it is
+    the Frobenius angle in radians, at most pi / 2, from the cell's quadric
+    to the nearest singular member of its pencil (pi / 2 where the pencil has
+    none); it is 0 on a cell where a pencil of quadrics fits and on every
+    cell of a pencil whose members are all singular.
     """
 
     tag: str
@@ -93,13 +99,20 @@ def cube_quadric(C, c1, c2):
 def _cube_quadrics(C, c):
     """cube_quadric of the CubeConfig C through c[0] and each c[1:] of checked
     (n, 4) points: the (n - 1, 4, 4) stack, zero where a pencil fits, and ok."""
+    _, lam, ok = _facet_weights(C, c)
+    return ((lam * ok[:, None]) @ C.pencil).reshape(-1, 4, 4), ok
+
+
+def _facet_weights(C, c):
+    """_cube_quadrics' weights on the facet pencil: a = r(c[0]), each
+    lam = a x r(c[i]) as an (n - 1, 3) stack, and ok."""
     # Rows at max |coordinate| 1, so r neither underflows nor overflows.
     s = (c / np.abs(c).max(axis=1, keepdims=True)) @ C.planes.T
     a, b = s[0, 0::2] * s[0, 1::2], s[1:, 0::2] * s[1:, 1::2]
     # np.cross alone costs about 20 us per call.
     lam = np.stack(_cross3(a, b.T), axis=1)
     ok = np.linalg.norm(lam, axis=1) > 1e-12 * np.linalg.norm(a) * np.linalg.norm(b, axis=1)
-    return ((lam * ok[:, None]) @ C.pencil).reshape(-1, 4, 4), ok
+    return a, lam, ok
 
 
 def unit_cube_quadric(f1, f2):
@@ -127,13 +140,23 @@ def _classify_stack(Q):
     """QuadricClass of each matrix of an (n, 4, 4) symmetric stack: eigenvalues
     within DEFAULT_TOL * max|eigenvalue| of 0 count as zero, signs flip so
     n+ >= n-, and a zero matrix is DEGENERATE (0, 0, 4) with margin 0."""
+    return _classes(*_class_rows(Q))
+
+
+def _class_rows(Q):
+    """_classify_stack's _CLASSES row and margin for each matrix of Q."""
     w = np.linalg.eigvalsh(0.5 * (Q + Q.transpose(0, 2, 1)))
     aw = np.abs(w)
     wmax = aw.max(axis=1)
     thresh = (DEFAULT_TOL * wmax)[:, None]
     n_plus, n_minus = (w > thresh).sum(axis=1), (w < -thresh).sum(axis=1)
-    tags, inertias = _CLASSES[5 * np.maximum(n_plus, n_minus) + np.minimum(n_plus, n_minus)].T.tolist()
-    margin = aw.min(axis=1) / np.where(wmax > 0, wmax, 1.0)
+    rows = 5 * np.maximum(n_plus, n_minus) + np.minimum(n_plus, n_minus)
+    return rows, aw.min(axis=1) / np.where(wmax > 0, wmax, 1.0)
+
+
+def _classes(rows, margin):
+    """QuadricClass for each _CLASSES row with its margin."""
+    tags, inertias = _CLASSES[rows].T.tolist()
     # Positional arguments: the keyword form costs about 1.5 times as much.
     return list(map(QuadricClass, tags, inertias, margin.tolist()))
 
@@ -197,7 +220,8 @@ def delta1_coordinates(f1, f2):
     """
     f1 = as_point(f1, 4)
     f2 = as_point(f2, 4)
-    if abs(f1[3]) <= 1e-14 * np.linalg.norm(f1) or abs(f2[3]) <= 1e-14 * np.linalg.norm(f2):
+    # On unit rows, so that no norm under- or overflows at extreme scales.
+    if (np.abs(_unit_rows(np.array([f1, f2]))[:, 3]) <= 1e-14).any():
         raise AtInfinity("focal point at infinity")
     x = (f1[:3] / f1[3]) ** 2
     y = (f2[:3] / f2[3]) ** 2
@@ -233,14 +257,115 @@ class PlaneChart:
         return np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
 
 
+# region_grid's pencil pass.  A cell near a singular member, where the
+# member at unit Frobenius norm has |det| at most DET_FLOOR, is classified
+# from its own quadric; so is every cell of a pencil whose quartic det has
+# no coefficient above ZERO_QUARTIC, which is all singular.
+DET_FLOOR = 10 * DEFAULT_TOL
+ZERO_QUARTIC = 1e-12
+_DET_SIGN = {RULED_NONDEGENERATE: 1.0, NONRULED_NONDEGENERATE: -1.0}
+
+
+def _binary_quartic(k, x, y):
+    """sum_i k[i] x^(4 - i) y^i, by Horner's rule in y / x without dividing."""
+    q, xp = k[4], 1.0
+    for ki in k[3::-1]:
+        xp = xp * x
+        q = q * y + ki * xp
+    return q
+
+
+# det(cos t B0 + sin t B1) is sampled at five angles t, each row of
+# _QUARTIC_NODES a (cos t, sin t); row j of _QUARTIC_VANDER holds the
+# monomials at node j, in Python floats: importing runs no numpy arithmetic.
+_QUARTIC_NODES = np.array([(math.cos(math.pi * j / 5), math.sin(math.pi * j / 5)) for j in range(5)])
+_QUARTIC_VANDER = np.array([[c ** (4 - i) * s**i for i in range(5)] for c, s in _QUARTIC_NODES.tolist()])
+
+
+def _members(t, B):
+    """The pencil members cos t B0 + sin t B1 for an array of angles t."""
+    return (np.cos(t)[:, None] * B[0] + np.sin(t)[:, None] * B[1]).reshape(-1, 4, 4)
+
+
+def _singular_angles(k, B):
+    """Ascending angles in [0, pi], repeats allowed, of the real singular
+    members of the pencil with basis B, from the coefficients k of its
+    quartic det."""
+    # Roots in tan t; each leading zero of k drops one, which lies at pi / 2.
+    r = np.roots(k[::-1])
+    at_pole = np.full(4 - len(r), np.pi / 2)
+    # One root of each conjugate pair: it counts where the member at its real
+    # part is singular, a double root that rounding split.
+    r = r[r.imag >= 0.0]
+    t, off = np.arctan(r.real) % np.pi, r.imag != 0.0
+    if off.any():
+        off[off] = _CLASSES[_class_rows(_members(t[off], B))[0], 0] != DEGENERATE
+    # np.sort, not np.unique: a repeated angle only leaves an empty arc, and
+    # np.unique's first call raised the region benchmark's peak RSS by 1.1 to
+    # 1.4 MiB (3-s runs, 2-core Xeon).
+    return np.sort(np.append(t[~off], at_pole))
+
+
+def _arc_classes(C, f1, f2s):
+    """region_grid's pencil pass: the QuadricClass of cube_quadric(C, f1, f2)
+    for each row f2 of f2s, with the angular margin."""
+    c = np.vstack([f1, f2s])
+    a, lam, ok = _facet_weights(C, c)
+    # The quadrics through the cube and f1 are lam @ C.pencil with lam . a = 0.
+    # B[:2] is a Frobenius-orthonormal basis of them and B[2] completes it to
+    # the facet pencil, so each cell's quadric is x B0 + y B1 + z B2, z from
+    # rounding alone, at the angle phi in its pencil.
+    B = np.linalg.qr((np.linalg.svd(a[None])[2][[1, 2, 0]] @ C.pencil).T)[0].T
+    x, y, z = (lam @ (C.pencil @ B.T)).T
+    phi = np.arctan2(y, x) % np.pi
+    k = np.linalg.solve(_QUARTIC_VANDER, np.linalg.det((_QUARTIC_NODES @ B[:2]).reshape(5, 4, 4)))
+    if np.abs(k).max() <= ZERO_QUARTIC:
+        rows, margin, exact = np.zeros(len(phi), dtype=int), np.zeros(len(phi)), np.ones(len(phi), dtype=bool)
+    else:
+        theta = _singular_angles(k, B)
+        # Arc i runs from ends[i] to ends[i + 1]; the first and the last are
+        # one arc, pi apart.  With no real root one arc holds every cell.
+        ends = np.array([-0.5, 1.5]) * np.pi
+        if len(theta):
+            ends = np.concatenate([theta[-1:] - np.pi, theta, theta[:1] + np.pi])
+        i = np.searchsorted(theta, phi, side="right")
+        margin = np.minimum(np.minimum(phi - ends[i], ends[i + 1] - phi), np.pi / 2)
+        arc_rows = _class_rows(_members((ends[:-1] + ends[1:]) / 2, B))[0]
+        sign = np.array([_DET_SIGN.get(tag, 0.0) for tag in _CLASSES[arc_rows, 0]])
+        rows = arc_rows[i]
+        # P = x B0 + y B1 has |eigenvalues| at most rho = ||P||_F, which
+        # multiply to det P: so where |det P| > DET_FLOOR rho^4 each exceeds
+        # DET_FLOOR rho, and with |z| <= DEFAULT_TOL rho each |eigenvalue| of
+        # the cell's quadric stays above 9 DEFAULT_TOL rho, far from
+        # _classify_stack's threshold, with P's signs.  P passes through the
+        # cube's vertices, so it is not definite: det P > 0 makes it (2, 2)
+        # and det P < 0 (3, 1).  A cell whose det has its arc's sign is thus
+        # of its arc's class.
+        rho2 = x * x + y * y
+        exact = ~((_binary_quartic(k, x, y) * sign[i] > DET_FLOOR * rho2 * rho2) & (z * z <= DEFAULT_TOL**2 * rho2))
+    exact |= ~ok
+    margin[~ok] = 0.0
+    if exact.any():
+        rows[exact] = _class_rows(_cube_quadrics(C, c)[0][exact])[0]
+    return _classes(rows, margin)
+
+
 def region_grid(C, f1, chart, resolution, method="auto"):
     """Classify the quadric through the cube, f1 and f2 for f2 on a
     ``resolution`` x ``resolution`` grid (an integer >= 2) over the chart
     plane; (u, v, QuadricClass) cells, u outer.
 
-    ``"auto"`` classifies the whole grid in one batched pass over
-    cube_quadric's facet pencil, for any combinatorial cube; ``"unit"``
-    names the same pass for callers of the former unit-cube path.
+    ``"auto"``, for any combinatorial cube, is the pencil pass: every cell's
+    cube_quadric lies in the pencil of quadrics through the cube and f1, at
+    an angle in it, and the pencil's real singular members (the roots of the
+    binary quartic det) cut that circle into arcs of one class each.  Each
+    arc is classified once, at its midpoint, and each cell takes its arc's
+    class where the sign and size of its own det certify it; the cells near
+    a singular member, and every cell of an all-singular pencil, go through
+    ``_classify_stack`` of their cube_quadric.  Tags and inertia are those
+    of ``_classify_stack(cube_quadric(...))``; the margin is the angular
+    one that QuadricClass describes.  ``"unit"`` names the same pass for
+    callers of the former unit-cube path.
     ``"general"`` fits each cell's 10-point quadric through the Veronese
     kernel, the independent check of the closed form.  It fits cell by
     cell: one stacked SVD over a 50x50 grid matched every pinned grid but
@@ -265,6 +390,7 @@ def region_grid(C, f1, chart, resolution, method="auto"):
                 Q[i] = quadric_through_points(np.vstack([C.vertices, f1, f2]))
             except (PencilOfQuadrics, NoQuadric):
                 pass
+        cells = _classify_stack(Q)
     else:
-        Q = cube_quadric(C, f1, f2s)
-    return list(zip(np.repeat(us, resolution).tolist(), np.tile(vs, resolution).tolist(), _classify_stack(Q)))
+        cells = _arc_classes(C, f1, f2s)
+    return list(zip(np.repeat(us, resolution).tolist(), np.tile(vs, resolution).tolist(), cells))

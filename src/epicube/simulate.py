@@ -103,8 +103,9 @@ def _camera_centres(rng, radius):
     square under- or overflows at any radius and every radius accepts the
     same draws.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
+    # The shell reaches 1.05 * radius, so that must be finite too.
+    if not 0 < float(radius) * 1.05 < math.inf:
+        raise ValueError("radius must be positive, with 1.05 * radius finite")
     for _ in range(MAX_CAMERA_DRAWS):
         v1 = rng.standard_normal(3)
         f1 = 0.95 + (1.05 - 0.95) * rng.random()

@@ -1,16 +1,21 @@
 import dataclasses
 import hashlib
+import pickle
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epicube import quadrics
 from epicube.degeneracy import (
+    FACET_IDX,
     UNIT_CUBE_VERTICES,
     VERONESE_I,
     VERONESE_J,
+    kernel_basis,
     random_combinatorial_cube,
     unit_cube,
     veronese_matrix,
@@ -60,6 +65,31 @@ def reference_classify_stack(Q):
         QuadricClass(tag=DEGENERATE if k[2] else tags.get(k, EMPTY), inertia=k, margin=m)
         for k, m in zip(counts, margin.tolist())
     ]
+
+
+def pencil_basis(cube, f1):
+    """A Frobenius-orthonormal basis (2, 4, 4) of the quadrics through the
+    cube's vertices and f1, from the Veronese kernel of those nine points."""
+    M = np.array([coeffs_to_matrix(b) for b in kernel_basis(veronese_matrix(np.vstack([cube.vertices, f1])))])
+    return np.linalg.qr(M.reshape(2, 16).T)[0].T.reshape(2, 4, 4)
+
+
+def reference_margins(cube, f1, f2s):
+    """The angular margin of each cell: its cube_quadric projected onto the
+    pencil basis, against the real singular members cos t B0 + sin t B1 that
+    np.linalg.eigvals gives as det(B0 - mu B1) = 0; pi / 2 with none."""
+    B = pencil_basis(cube, f1)
+    mu = np.linalg.eigvals(np.linalg.solve(B[1], B[0]))
+    roots = np.arctan2(-mu[mu.imag == 0].real, 1.0)
+    xy = cube_quadric(cube, f1, f2s).reshape(-1, 16) @ B.reshape(2, 16).T
+    d = np.abs(np.arctan2(xy[:, 1], xy[:, 0])[:, None] - roots) % np.pi
+    return np.minimum(d, np.pi - d).min(axis=1, initial=np.pi / 2)
+
+
+# |margin - reference_margins| measured at most 2.5e-14 rad on the grids of
+# the tests below, and 7.8e-13 over 100 grids of random cubes, f1 and
+# charts (22,500 cells): the quartic's roots against eigvals.
+MARGIN_TOL = 1e-12
 
 
 @st.composite
@@ -190,6 +220,7 @@ class TestClassifyStack:
         # Dataclass equality: never equal to a tuple of the same fields.
         assert qc == QuadricClass(tag=RULED_NONDEGENERATE, inertia=(2, 2, 0), margin=1.0)
         assert qc != (RULED_NONDEGENERATE, (2, 2, 0), 1.0)
+        assert pickle.loads(pickle.dumps(qc)) == qc
 
 
 class TestUnitCubeQuadric:
@@ -321,6 +352,36 @@ class TestCubeQuadric:
         assert 0 < nonruled < 300
 
 
+class TestPencilCones:
+    def test_real_singular_members_are_cones_between_ruled_and_non_ruled_arcs(self):
+        # The quadrics through a cube and f1 form a pencil; its real singular
+        # members bound the ruled region of f2.  On 300 random cubes with f1
+        # uniform in the charts' [-6, 6]^3 box: 232 pencils have 4 of them,
+        # 66 have 2 and 2 have none (every member ruled).  All 1,060 are
+        # cones, rank 3: s4 / s1 <= 3.2e-14 and s3 / s1 >= 1.1e-4 measured.
+        # The arcs between them alternate ruled and non-ruled.
+        rng = np.random.default_rng(0)
+        counts = Counter()
+        for _ in range(300):
+            cube = random_combinatorial_cube(rng)
+            B = pencil_basis(cube, np.append(rng.uniform(-6, 6, 3), 1.0))
+            mu = np.linalg.eigvals(np.linalg.solve(B[1], B[0]))
+            mu = mu[mu.imag == 0].real
+            counts[len(mu)] += 1
+            for m in mu:
+                s = np.linalg.svd(B[0] - m * B[1], compute_uv=False)
+                assert s[3] <= 1e-12 * s[0] and s[2] > 1e-6 * s[0]
+            t = np.sort(np.arctan2(-mu, 1.0) % np.pi)
+            mids = (t + np.append(t[1:], t[:1] + np.pi)) / 2 if len(t) else np.zeros(1)
+            tags = [classify(np.cos(x) * B[0] + np.sin(x) * B[1]).tag for x in mids]
+            if len(t):
+                assert set(tags) == {RULED_NONDEGENERATE, NONRULED_NONDEGENERATE}
+                assert all(a != b for a, b in zip(tags, tags[1:]))
+            else:
+                assert tags == [RULED_NONDEGENERATE]
+        assert counts == {4: 232, 2: 66, 0: 2}
+
+
 class TestDelta1:
     def test_standard_focal_pair_coordinates(self):
         alpha, beta = delta1_coordinates(F1, F2)
@@ -340,6 +401,14 @@ class TestDelta1:
                     continue
                 tag = classify(np.diag([a, b, g, 1.0])).tag
                 assert ruled_region_delta1(a, b) == (tag == RULED_NONDEGENERATE)
+
+    @pytest.mark.parametrize("k1, k2", [(600, 0), (0, 600), (-600, 600), (600, -600), (1000, -1000), (-1000, 1000)])
+    def test_power_of_two_scales_give_the_same_coordinates(self, k1, k2):
+        # Scaling a homogeneous row by a power of two is exact, so (alpha,
+        # beta) match bit for bit, with no overflow on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert delta1_coordinates(np.ldexp(F1, k1), np.ldexp(F2, k2)) == delta1_coordinates(F1, F2)
 
     def test_focal_point_at_infinity(self):
         with pytest.raises(AtInfinity):
@@ -405,10 +474,75 @@ class TestRegionGrid:
         cube = random_combinatorial_cube(np.random.default_rng(11))
         chart = PlaneChart((0.0, 0.0, 5.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
         f1 = np.array([2.0, 3.0, 4.0, 1.0])
-        for u, v, qc in region_grid(cube, f1, chart, 12):
+        cells = region_grid(cube, f1, chart, 12)
+        margins = reference_margins(cube, f1, chart.point(*np.array([uv for *uv, _ in cells]).T))
+        for (u, v, qc), margin in zip(cells, margins):
             one = classify(cube_quadric(cube, f1, chart.point(u, v)))
             assert (one.tag, one.inertia) == (qc.tag, qc.inertia)
-            assert one.margin == pytest.approx(qc.margin, rel=1e-9, abs=1e-15)
+            assert abs(qc.margin - margin) <= MARGIN_TOL
+
+    def test_pencil_pass_matches_the_exact_classifier(self, monkeypatch):
+        # Each cell's tag and inertia are what _classify_stack gives its
+        # cube_quadric, with f1 at a vertex, on a facet plane, inside the cube
+        # or at an integer point, and charts through f1; the unit cube's f1
+        # on an edge line leaves a pencil of singular members only.  Some
+        # grids, not all, send cells to that exact path.
+        calls, exact = [], 0
+        core = quadrics._cube_quadrics
+        monkeypatch.setattr(quadrics, "_cube_quadrics", lambda C, c: calls.append(C) or core(C, c))
+        rng = np.random.default_rng(4)
+        for g in range(48):
+            cube = unit_cube() if g % 4 == 0 else random_combinatorial_cube(rng)
+            W = cube.vertices / cube.vertices[:, 3:]
+            facet = W[FACET_IDX[g % 6]]
+            w = rng.uniform(-1.0, 2.0, 2)
+            f1 = [
+                W[g % 8],
+                facet[0] + w[0] * (facet[1] - facet[0]) + w[1] * (facet[3] - facet[0]),
+                W.mean(axis=0) + np.append(rng.uniform(-0.2, 0.2, 3), 0.0),
+                np.append(rng.integers(-4, 5, 3), 1.0),
+                np.array([1.0, 1.0, 0.5, 1.0]),
+            ][g % 5]
+            d = rng.standard_normal((2, 3))
+            if g % 2:
+                chart = PlaneChart(tuple(f1[:3]), tuple(d[0]), tuple(d[1]), (-1.0, 1.0), (-2.0, 1.0))
+            else:
+                chart = PlaneChart((0.0, 0.0, float(rng.uniform(-6, 6))), tuple(d[0]), tuple(d[1]))
+            resolution = int(rng.integers(3, 20)) | 1
+            n = len(calls)
+            cells = region_grid(cube, f1, chart, resolution)
+            exact += len(calls) > n
+            us, vs = (np.linspace(*r, resolution) for r in (chart.u_range, chart.v_range))
+            expected = _classify_stack(cube_quadric(cube, f1, chart.point(us[:, None], vs).reshape(-1, 4)))
+            assert [(qc.tag, qc.inertia) for _, _, qc in cells] == [(qc.tag, qc.inertia) for qc in expected]
+        assert 0 < exact < 48
+
+    def test_pencil_margin_is_the_angle_to_the_nearest_singular_member(self):
+        rng = np.random.default_rng(5)
+        for g in range(12):
+            cube = unit_cube() if g % 4 == 0 else random_combinatorial_cube(rng)
+            f1 = np.append(rng.uniform(-6, 6, 3), 1.0)
+            d = rng.standard_normal((2, 3))
+            chart = PlaneChart(tuple(rng.uniform(-6, 6, 3)), tuple(d[0]), tuple(d[1]))
+            cells = region_grid(cube, f1, chart, 15)
+            margins = reference_margins(cube, f1, chart.point(*np.array([uv for *uv, _ in cells]).T))
+            assert np.abs(np.array([qc.margin for _, _, qc in cells]) - margins).max() <= MARGIN_TOL
+        # 0 where a pencil of quadrics fits, at f2 = f1, and on every cell of
+        # a pencil whose members are all singular.  The other cells on the
+        # axes u = 0 and v = 0 lie on singular members, up to rounding.
+        f1 = [2.0, 3.0, 4.0, 1.0]
+        chart = PlaneChart(tuple(f1[:3]), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+        cells = {(u, v): qc.margin for u, v, qc in region_grid(unit_cube(), f1, chart, 3)}
+        assert cells.pop((0.0, 0.0)) == 0.0
+        assert all((m <= 1e-15) == (0.0 in uv) for uv, m in cells.items())
+        cells = region_grid(unit_cube(), [1.0, 1.0, 0.5, 1.0], PINNED_CHART, 5)
+        assert {qc.margin for _, _, qc in cells} == {0.0}
+        # pi / 2 on every cell of a pencil with no real singular member: at
+        # the centroid of this cube, whose members are all ruled.
+        cube = random_combinatorial_cube(np.random.default_rng(30))
+        centroid = (cube.vertices / cube.vertices[:, 3:]).mean(axis=0)
+        cells = region_grid(cube, centroid, PINNED_CHART, 5)
+        assert {(qc.tag, qc.margin) for _, _, qc in cells} == {(RULED_NONDEGENERATE, np.pi / 2)}
 
     @pytest.mark.parametrize("method", ["auto", "general"])
     def test_cell_at_f1_is_degenerate(self, method):
@@ -478,18 +612,20 @@ class TestRegionGrid:
                 region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], PlaneChart(**{**fields, field: value}), 4)
 
 
-# sha256 of repr(region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method)),
-# recorded before the classification moved to whole-array work.  The chart
+# sha256 of repr(region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method)).
+# The "general" pins were recorded before the classification moved to
+# whole-array work; the "auto" ones when its margin became the angle to the
+# nearest singular member, with every tag and inertia as before.  The chart
 # passes through f1, so each grid has a zero (pencil) cell besides ruled and
 # non-ruled ones.
 PINNED_CHART = PlaneChart((0.0, 0.0, 4.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-8.0, 11.0), (-8.0, 11.0))
 F1_ON_CHART = [2.0, 3.0, 4.0, 1.0]
 PINNED_GRIDS = {
-    ("unit", "auto"): "fdb4f8ef31fbc49391dcc8c12499e584ecdf4ddc4bd49247c1b4c00f4eedf4b0",
+    ("unit", "auto"): "337a95db2c61c74ca4a7f42a24e6c4ae807507cc7f64d7072962797923c755b7",
     ("unit", "general"): "a999467f211d5aff9094ad32147f252703f228ddc746cda0c6ab0e63c9fb3fc1",
-    (1, "auto"): "e8a83b9114e6038d731b6f864476d93d18b3399fda5e7233415e5f3c2849e4f2",
+    (1, "auto"): "0b3bfa179d811b46213e18f2aff24945d9840b96716ac74d2f56f2e51c757b1e",
     (1, "general"): "fe70f55d9400388a3730cf0e9e0f8db5e547b0185a0298c58bc30ed584154516",
-    (2, "auto"): "47d58cdd78fc50dd0a660a23ea67c51aba359d529c1252d1fa0b03fe6797cc97",
+    (2, "auto"): "cb6a416ce425f76baa0db06fdf20fa1362213f00cdc4db0578eaefa2c38ba12b",
     (2, "general"): "4323ba82fc4bc31e2085d36eb384a344a054ce13dacad108cbba46bcbaf202af",
 }
 

@@ -208,6 +208,25 @@ class TestSampleCameraPair:
             with pytest.raises(ValueError):
                 sample_camera_pair(rng, radius)
 
+    def test_radius_bound_is_where_the_shell_overflows(self):
+        # The largest radius whose 1.05 * radius is finite draws what radius
+        # 6 draws, at finite centres; the next float up, and 1.75e308, raise
+        # before any draw.
+        top = math.nextafter(1.7976931348623157e308 / 1.05, 0.0)
+        while math.isfinite(math.nextafter(top, math.inf) * 1.05):
+            top = math.nextafter(top, math.inf)
+        assert math.isfinite(top * 1.05)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        centres = simulate._camera_centres(rng, top)
+        simulate._camera_centres(ref, 6.0)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert all(np.isfinite(c).all() for c in centres)
+        state = rng.bit_generator.state
+        for radius in (math.nextafter(top, math.inf), 1.75e308, np.float64(1.75e308)):
+            with pytest.raises(ValueError, match="radius"):
+                simulate._camera_centres(rng, radius)
+        assert rng.bit_generator.state == state
+
     def test_unreachable_separation_exhausts_budget(self, rng, monkeypatch):
         # The +-5% shell puts the centers at most 2.1 radii apart.
         monkeypatch.setattr(simulate, "MIN_SEPARATION", 2.2)
