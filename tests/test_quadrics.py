@@ -74,22 +74,17 @@ def pencil_basis(cube, f1):
     return np.linalg.qr(M.reshape(2, 16).T)[0].T.reshape(2, 4, 4)
 
 
-def reference_margins(cube, f1, f2s):
-    """The angular margin of each cell: its cube_quadric projected onto the
-    pencil basis, against the real singular members cos t B0 + sin t B1 that
-    np.linalg.eigvals gives as det(B0 - mu B1) = 0; pi / 2 with none."""
-    B = pencil_basis(cube, f1)
-    mu = np.linalg.eigvals(np.linalg.solve(B[1], B[0]))
-    roots = np.arctan2(-mu[mu.imag == 0].real, 1.0)
-    xy = cube_quadric(cube, f1, f2s).reshape(-1, 16) @ B.reshape(2, 16).T
-    d = np.abs(np.arctan2(xy[:, 1], xy[:, 0])[:, None] - roots) % np.pi
-    return np.minimum(d, np.pi - d).min(axis=1, initial=np.pi / 2)
-
-
-# |margin - reference_margins| measured at most 2.5e-14 rad on the grids of
-# the tests below, and 7.8e-13 over 100 grids of random cubes, f1 and
-# charts (22,500 cells): the quartic's roots against eigvals.
-MARGIN_TOL = 1e-12
+def assert_det_margins(cells, Q, eig_margins):
+    """Each default-pass margin is |det Q| / ||Q||_F^4 of the cell's
+    cube_quadric Q by np.linalg.det, 0 where Q is zero, and at most the
+    eigenvalue margin min|eig| / max|eig|.  The absolute 1e-14 is the
+    rounding of a det at unit norm, measured at most 1.4e-15."""
+    margins = np.array([qc.margin for *_, qc in cells])
+    norm2 = (Q * Q).sum(axis=(1, 2))
+    ref = np.abs(np.linalg.det(Q)) / np.where(norm2 > 0, norm2 * norm2, 1.0)
+    assert margins == pytest.approx(ref, rel=1e-12, abs=1e-14)
+    assert (margins[norm2 == 0] == 0.0).all()
+    assert (margins <= np.asarray(eig_margins) + 1e-15).all()
 
 
 @st.composite
@@ -475,21 +470,22 @@ class TestRegionGrid:
         chart = PlaneChart((0.0, 0.0, 5.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
         f1 = np.array([2.0, 3.0, 4.0, 1.0])
         cells = region_grid(cube, f1, chart, 12)
-        margins = reference_margins(cube, f1, chart.point(*np.array([uv for *uv, _ in cells]).T))
-        for (u, v, qc), margin in zip(cells, margins):
-            one = classify(cube_quadric(cube, f1, chart.point(u, v)))
+        Q = cube_quadric(cube, f1, chart.point(*np.array([uv for *uv, _ in cells]).T))
+        ones = [classify(q) for q in Q]
+        for (_, _, qc), one in zip(cells, ones):
             assert (one.tag, one.inertia) == (qc.tag, qc.inertia)
-            assert abs(qc.margin - margin) <= MARGIN_TOL
+        assert_det_margins(cells, Q, [one.margin for one in ones])
 
     def test_pencil_pass_matches_the_exact_classifier(self, monkeypatch):
         # Each cell's tag and inertia are what _classify_stack gives its
         # cube_quadric, with f1 at a vertex, on a facet plane, inside the cube
         # or at an integer point, and charts through f1; the unit cube's f1
         # on an edge line leaves a pencil of singular members only.  Some
-        # grids, not all, send cells to that exact path.
+        # grids, not all, send cells to that exact path.  Each margin is the
+        # det bound, 0 where a pencil of quadrics fits.
         calls, exact = [], 0
-        core = quadrics._cube_quadrics
-        monkeypatch.setattr(quadrics, "_cube_quadrics", lambda C, c: calls.append(C) or core(C, c))
+        core = quadrics._class_rows
+        monkeypatch.setattr(quadrics, "_class_rows", lambda Q: calls.append(Q) or core(Q))
         rng = np.random.default_rng(4)
         for g in range(48):
             cube = unit_cube() if g % 4 == 0 else random_combinatorial_cube(rng)
@@ -513,36 +509,11 @@ class TestRegionGrid:
             cells = region_grid(cube, f1, chart, resolution)
             exact += len(calls) > n
             us, vs = (np.linspace(*r, resolution) for r in (chart.u_range, chart.v_range))
-            expected = _classify_stack(cube_quadric(cube, f1, chart.point(us[:, None], vs).reshape(-1, 4)))
+            Q = cube_quadric(cube, f1, chart.point(us[:, None], vs).reshape(-1, 4))
+            expected = _classify_stack(Q)
             assert [(qc.tag, qc.inertia) for _, _, qc in cells] == [(qc.tag, qc.inertia) for qc in expected]
+            assert_det_margins(cells, Q, [qc.margin for qc in expected])
         assert 0 < exact < 48
-
-    def test_pencil_margin_is_the_angle_to_the_nearest_singular_member(self):
-        rng = np.random.default_rng(5)
-        for g in range(12):
-            cube = unit_cube() if g % 4 == 0 else random_combinatorial_cube(rng)
-            f1 = np.append(rng.uniform(-6, 6, 3), 1.0)
-            d = rng.standard_normal((2, 3))
-            chart = PlaneChart(tuple(rng.uniform(-6, 6, 3)), tuple(d[0]), tuple(d[1]))
-            cells = region_grid(cube, f1, chart, 15)
-            margins = reference_margins(cube, f1, chart.point(*np.array([uv for *uv, _ in cells]).T))
-            assert np.abs(np.array([qc.margin for _, _, qc in cells]) - margins).max() <= MARGIN_TOL
-        # 0 where a pencil of quadrics fits, at f2 = f1, and on every cell of
-        # a pencil whose members are all singular.  The other cells on the
-        # axes u = 0 and v = 0 lie on singular members, up to rounding.
-        f1 = [2.0, 3.0, 4.0, 1.0]
-        chart = PlaneChart(tuple(f1[:3]), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
-        cells = {(u, v): qc.margin for u, v, qc in region_grid(unit_cube(), f1, chart, 3)}
-        assert cells.pop((0.0, 0.0)) == 0.0
-        assert all((m <= 1e-15) == (0.0 in uv) for uv, m in cells.items())
-        cells = region_grid(unit_cube(), [1.0, 1.0, 0.5, 1.0], PINNED_CHART, 5)
-        assert {qc.margin for _, _, qc in cells} == {0.0}
-        # pi / 2 on every cell of a pencil with no real singular member: at
-        # the centroid of this cube, whose members are all ruled.
-        cube = random_combinatorial_cube(np.random.default_rng(30))
-        centroid = (cube.vertices / cube.vertices[:, 3:]).mean(axis=0)
-        cells = region_grid(cube, centroid, PINNED_CHART, 5)
-        assert {(qc.tag, qc.margin) for _, _, qc in cells} == {(RULED_NONDEGENERATE, np.pi / 2)}
 
     @pytest.mark.parametrize("method", ["auto", "general"])
     def test_cell_at_f1_is_degenerate(self, method):
@@ -553,7 +524,7 @@ class TestRegionGrid:
         f1 = [2.0, 3.0, 4.0, 1.0]
         chart = PlaneChart(tuple(f1[:3]), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
         cells = {(u, v): qc for u, v, qc in region_grid(unit_cube(), f1, chart, 3, method=method)}
-        assert (cells[0.0, 0.0].tag, cells[0.0, 0.0].inertia) == (DEGENERATE, (0, 0, 4))
+        assert (cells[0.0, 0.0].tag, cells[0.0, 0.0].inertia, cells[0.0, 0.0].margin) == (DEGENERATE, (0, 0, 4), 0.0)
         assert [uv for uv, qc in cells.items() if qc.inertia == (0, 0, 4)] == [(0.0, 0.0)]
 
     @pytest.mark.parametrize("method", ["auto", "general"])
@@ -614,19 +585,25 @@ class TestRegionGrid:
 
 # sha256 of repr(region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method)).
 # The "general" pins were recorded before the classification moved to
-# whole-array work; the "auto" ones when its margin became the angle to the
-# nearest singular member, with every tag and inertia as before.  The chart
-# passes through f1, so each grid has a zero (pencil) cell besides ruled and
-# non-ruled ones.
+# whole-array work; the "auto" ones when its margin became the det bound.
+# PINNED_CLASSES holds the sha256 of each grid's (u, v, tag, inertia) rows,
+# the same for both methods, recorded before that margin change and
+# unchanged by it.  The chart passes through f1, so each grid has a zero
+# (pencil) cell besides ruled and non-ruled ones.
 PINNED_CHART = PlaneChart((0.0, 0.0, 4.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-8.0, 11.0), (-8.0, 11.0))
 F1_ON_CHART = [2.0, 3.0, 4.0, 1.0]
 PINNED_GRIDS = {
-    ("unit", "auto"): "337a95db2c61c74ca4a7f42a24e6c4ae807507cc7f64d7072962797923c755b7",
+    ("unit", "auto"): "2eca52d9354c8b91544b343b4c7a71923c57798dd2de5d3c98741449a4e33691",
     ("unit", "general"): "a999467f211d5aff9094ad32147f252703f228ddc746cda0c6ab0e63c9fb3fc1",
-    (1, "auto"): "0b3bfa179d811b46213e18f2aff24945d9840b96716ac74d2f56f2e51c757b1e",
+    (1, "auto"): "31ea7ace9c72b54cda2e5fe77b43ef4ce48623fa15fdb044d613d760e0fcb6ca",
     (1, "general"): "fe70f55d9400388a3730cf0e9e0f8db5e547b0185a0298c58bc30ed584154516",
-    (2, "auto"): "cb6a416ce425f76baa0db06fdf20fa1362213f00cdc4db0578eaefa2c38ba12b",
+    (2, "auto"): "fcb9fbcd65e74f30d7f29bad3ab19af6cbffeee3c448d174d39e3e3761f83d76",
     (2, "general"): "4323ba82fc4bc31e2085d36eb384a344a054ce13dacad108cbba46bcbaf202af",
+}
+PINNED_CLASSES = {
+    "unit": "d706e4f2e94a67750846d804eb9f4b399b1bcc2339b57555e458d60761b61356",
+    1: "7b9a8a7098920436712c5ad83cb99396b9601c560b558c3db39d76a48702fca5",
+    2: "1ccc800079319f5a5489da104ed3d129b20534b4a2c9931f967169fef617da10",
 }
 
 
@@ -637,3 +614,5 @@ def test_region_grid_pinned_output(cube_seed, method):
     cells = region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method=method)
     assert (0, 0, 4) in {qc.inertia for _, _, qc in cells}
     assert hashlib.sha256(repr(cells).encode()).hexdigest() == PINNED_GRIDS[cube_seed, method]
+    rows = repr([(u, v, qc.tag, qc.inertia) for u, v, qc in cells])
+    assert hashlib.sha256(rows.encode()).hexdigest() == PINNED_CLASSES[cube_seed]

@@ -15,6 +15,7 @@ from epicube.projective import _focal_points, dehomogenize, focal_point, homogen
 from epicube.quadrics import (
     DEGENERATE,
     NONRULED_NONDEGENERATE,
+    _class_rows,
     _classify_stack,
     _cube_quadrics,
     _nonruled,
@@ -372,7 +373,7 @@ class TestRunTrial:
 
         unpatched, first_attempts = geometry(real)
         rejected, attempts = geometry(lambda *args: False)
-        monkeypatch.setattr(quadrics, "_classify_stack", lambda Q: cores.append(Q) or _classify_stack(Q))
+        monkeypatch.setattr(quadrics, "_class_rows", lambda Q: cores.append(Q) or _class_rows(Q))
         failed, failed_attempts = geometry(lambda *args: real(*zero_pair))
         assert first_attempts == 1 and failed_attempts == attempts > 1
         assert not cores[0].any()
@@ -390,7 +391,7 @@ class TestRunTrial:
         # the per-draw camera sampler.  The sweep's predicate and cores give
         # the same verdicts, cameras and F_true bit for bit.
         cores = []
-        monkeypatch.setattr(quadrics, "_classify_stack", lambda Q: cores.append(Q) or _classify_stack(Q))
+        monkeypatch.setattr(quadrics, "_class_rows", lambda Q: cores.append(Q) or _class_rows(Q))
         for seed, t in [(0, t) for t in range(40)] + list(self.BAND):
             cfg = ExperimentConfig(trials=1, noise_levels=(0.0,), seed=seed)
             cube_ss, cam_ss, noise_ss = np.random.SeedSequence([cfg.seed, t]).spawn(3)
@@ -456,7 +457,7 @@ class TestRuledScreen:
         # is no longer small against it: the sign of det Q leaves these to the
         # stacked core, even where det Q alone would decide.
         cores, decided, pairs = [], 0, []
-        monkeypatch.setattr(quadrics, "_classify_stack", lambda Q: cores.append(Q) or _classify_stack(Q))
+        monkeypatch.setattr(quadrics, "_class_rows", lambda Q: cores.append(Q) or _class_rows(Q))
         for _ in range(200):
             c = rng.standard_normal(3)
             c *= simulate.CAMERA_RADIUS / np.linalg.norm(c)
@@ -487,7 +488,7 @@ class TestRuledScreen:
 
         monkeypatch.setattr(simulate, "random_combinatorial_cube", lambda rng: unit_cube())
         monkeypatch.setattr(simulate, "_camera_centres", scripted)
-        monkeypatch.setattr(quadrics, "_classify_stack", lambda Q: seen.append(Q) or _classify_stack(Q))
+        monkeypatch.setattr(quadrics, "_class_rows", lambda Q: seen.append(Q) or _class_rows(Q))
         simulate._geometry(ExperimentConfig(trials=1, noise_levels=(0.0,), seed=0), 0)
         assert not seen[0].any() and len(drawn) > 1
 
