@@ -217,6 +217,28 @@ class TestClassifyStack:
         assert qc != (RULED_NONDEGENERATE, (2, 2, 0), 1.0)
         assert pickle.loads(pickle.dumps(qc)) == qc
 
+    def test_bulk_cells_are_indistinguishable_from_constructed_ones(self, rng):
+        # The cells built slot by slot, from every path that builds them,
+        # against QuadricClass(...) of the same fields.
+        chart = PlaneChart((2.0, 3.0, 4.0), (1.0, 0.2, 0.0), (0.0, 1.0, -0.3))
+        f1 = [2.0, 3.0, 4.0, 1.0]
+        cube = random_combinatorial_cube(rng)
+        cells = [qc for m in ("auto", "general") for *_, qc in region_grid(cube, f1, chart, 6, method=m)]
+        cells += _classify_stack(np.array([np.diag(d) for d in ([1, 1, -1, -1], [1, 1, 1, -1], [1, 1, 1, 1], [1, 0, -1, 0])]))
+        cells.append(classify(np.diag([2.0, -1.0, 3.0, 1.0])))
+        assert {qc.tag for qc in cells} == {RULED_NONDEGENERATE, NONRULED_NONDEGENERATE, EMPTY, DEGENERATE}
+        # Every field is a slot, and each slot is set on every cell.
+        names = [f.name for f in dataclasses.fields(QuadricClass)]
+        assert list(QuadricClass.__slots__) == names
+        for qc in cells:
+            ref = QuadricClass(tag=qc.tag, inertia=qc.inertia, margin=qc.margin)
+            assert [getattr(qc, name) for name in names] == [getattr(ref, name) for name in names]
+            assert type(qc) is QuadricClass and qc == ref and hash(qc) == hash(ref) and repr(qc) == repr(ref)
+            assert pickle.dumps(qc) == pickle.dumps(ref) and pickle.loads(pickle.dumps(qc)) == ref
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(qc, name, getattr(ref, name))
+
 
 class TestUnitCubeQuadric:
     def test_standard_focal_pair_diagonal(self):
@@ -309,6 +331,29 @@ class TestCubeQuadric:
             assert np.array_equal(cube_quadric(cube, f1, f2s), reference(cube, f1, f2s))
             assert np.array_equal(cube_quadric(cube, f1, f2s[0]), reference(cube, f1, f2s[0]))
             assert not cube.pencil.flags.writeable
+            # The row maxima and norms where they are easiest to get wrong:
+            # rows at 1e+-300, rows whose largest coordinate is negative or
+            # is the 4th one, and pencil rows, all in one stack.
+            g2s = f2s.copy()
+            g2s[10:30, :3] = rng.uniform(-0.9, 0.9, (20, 3))
+            g2s[30:35] = f1
+            g2s *= 10.0 ** rng.choice([-300.0, 0.0, 300.0], (50, 1))
+            g2s[:20] *= -np.sign(g2s[np.arange(20), np.abs(g2s[:20]).argmax(axis=1)])[:, None]
+            top = g2s[np.arange(50), np.abs(g2s).argmax(axis=1)]
+            assert (top[:20] < 0).all() and (np.abs(g2s[10:30]).argmax(axis=1) == 3).all()
+            for g1 in (f1, -f1 * 1e300):
+                Q = cube_quadric(cube, g1, g2s)
+                assert not Q[30:35].any()
+                assert np.array_equal(Q, reference(cube, g1, g2s))
+
+    def test_row_norms_add_in_numpys_order(self, rng):
+        # _cube_quadrics writes np.linalg.norm(x, axis=1) of its (n, 3)
+        # stacks as column sums, (x0^2 + x1^2) + x2^2, the order in which
+        # numpy's reduction adds; x0^2 + (x1^2 + x2^2) rounds differently.
+        x = rng.standard_normal((3, 4000)) * 10.0 ** rng.uniform(-3, 3, (3, 4000))
+        ref = np.linalg.norm(x.T, axis=1)
+        assert np.array_equal(np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2]), ref)
+        assert not np.array_equal(np.sqrt(x[0] * x[0] + (x[1] * x[1] + x[2] * x[2])), ref)
 
     def test_homogeneous_scale_invariance_at_extreme_scales(self, rng):
         cube = random_combinatorial_cube(rng)
@@ -581,6 +626,23 @@ class TestRegionGrid:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"chart {field} must be"):
                 region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], PlaneChart(**{**fields, field: value}), 4)
+
+
+    @pytest.mark.parametrize("method", ["auto", "unit", "general"])
+    @pytest.mark.parametrize(
+        "chart",
+        [
+            PlaneChart((0.0, 0.0, 5.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1e308, 1e308), (-1e308, 1e308)),
+            PlaneChart((0.0, 0.0, 5.0), (1e308, 0.0, 0.0), (0.0, 1.0, 0.0)),
+        ],
+    )
+    def test_overflowing_chart_rejected(self, chart, method):
+        # Finite fields whose grid points overflow: one ValueError on every
+        # method, not NaN cells or a numpy RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="chart grid points must be finite"):
+                region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], chart, 4, method=method)
 
 
 # sha256 of repr(region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method)).
