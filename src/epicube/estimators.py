@@ -8,6 +8,7 @@ selection rule and ``_estimate_all`` the one dispatcher over ALGOS; the public
 forms and the CLI are stacks of one.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -26,13 +27,13 @@ from .projective import (
     canonical_fmatrix,
     dehomogenize,
     focal_point,
-    homogenize,
 )
 
 # The estimators the noise sweep compares and the CLI offers, in record order.
 ALGOS = ("8pt", "7pt", "cube8")
 # Candidates within this of the least residual tie; the first of them wins.
 RESIDUAL_TIE_TOL = 1e-14
+_FLOAT_MAX = np.finfo(float).max
 
 
 def hartley_normalize(pts):
@@ -65,7 +66,10 @@ def _condition(aff):
     T[:, 0, 0] = T[:, 1, 1] = s
     T[:, :2, 2] = -s[:, None] * centroid
     T[:, 2, 2] = 1.0
-    return T, homogenize(centered * s[:, None, None]), degenerate
+    # homogenize(centered * s) without its copies.
+    out = np.ones(aff.shape[:-1] + (3,))
+    np.multiply(centered, s[:, None, None], out=out[..., :2])
+    return T, out, degenerate
 
 
 def eight_point(X, Y):
@@ -128,9 +132,10 @@ def _select(candidates, Xu, Yu):
     n, k = (~np.isnan(candidates[:, :, 0, 0])).nonzero()
     residuals = np.full(candidates.shape[:2], np.inf)
     residuals[n, k] = _residuals(candidates[n, k], Xu[n], Yu[n])
-    # A row of infs gives inf - inf.
-    with np.errstate(invalid="ignore"):
-        best = (residuals - residuals.min(axis=1, keepdims=True) < RESIDUAL_TIE_TOL).argmax(axis=1)
+    least = residuals.min(axis=1, keepdims=True)
+    # A row of infs would give inf - inf; against the largest float it picks
+    # its first entry all the same.
+    best = (residuals - np.minimum(least, _FLOAT_MAX) < RESIDUAL_TIE_TOL).argmax(axis=1)
     return best, residuals[np.arange(len(residuals)), best]
 
 
@@ -153,6 +158,7 @@ def pencil_solve(F1, F2):
     """Real roots of det(alpha*F1 + (1-alpha)*F2) = 0 plus their matrices;
     ValueError unless both generators are finite."""
     G = _as_array([np.reshape(F1, 9), np.reshape(F2, 9)], what="pencil generators")
+    _one(pencil.reject_dependent, G)
     return _solution(*_one(pencil.solve, G))
 
 
@@ -194,24 +200,27 @@ def cube_eight_point(X, Y):
     return _estimate_one("cube8", X, Y)[0]
 
 
-def _cube_eight_point(X, Y, Xu, Yu, failures, at=0):
+def _cube_eight_point(XY, XYu, failures, at=0):
     """The conditioning transforms, (N, 2, 3, 3), and pencil generators of
-    cube_eight_point on (N, 8, 3) stacks of checked points with unit rows
-    (Xu, Yu), the generators as ``pencil.solve`` takes them; instance n fails
-    under key at + n of ``failures``."""
-    N = len(X)
-    P = np.concatenate([X[:, None], Y[:, None]], axis=1)
-    affine = (np.abs(Xu[..., 2]) > 1e-12).all(axis=1) & (np.abs(Yu[..., 2]) > 1e-12).all(axis=1)
-    # Every instance is conditioned; one with a point at infinity then takes
-    # its images as given.
-    with np.errstate(all="ignore"):
+    cube_eight_point on an (N, 16, 3) stack of checked points, each
+    instance's eight X then its eight Y, with unit rows XYu, the generators
+    as ``pencil.solve`` takes them; instance n fails under key at + n of
+    ``failures``."""
+    N = len(XY)
+    P = XY.reshape(N, 2, 8, 3)
+    affine = (np.abs(XYu[..., 2]) > 1e-12).all(axis=1)
+    all_affine = affine.all()
+    # Every instance is conditioned; one with a point at infinity, the only
+    # kind that can divide by zero here, then takes its images as given.
+    with contextlib.nullcontext() if all_affine else np.errstate(all="ignore"):
         T, Pn, degenerate = _condition((P[..., :2] / P[..., 2:]).reshape(-1, 8, 2))
     T, Pn = T.reshape(N, 2, 3, 3), Pn.reshape(P.shape)
-    if not affine.all():
+    if not all_affine:
         T = np.where(affine[:, None, None, None], T, np.eye(3))
         Pn = np.where(affine[:, None, None, None], Pn, P)
-    for n in (affine & degenerate.reshape(N, 2).any(axis=1)).nonzero()[0].tolist():
-        failures[at + n] = DegenerateCloud("all points coincide")
+    if degenerate.any():
+        for n in (affine & degenerate.reshape(N, 2).any(axis=1)).nonzero()[0].tolist():
+            failures[at + n] = DegenerateCloud("all points coincide")
     # The rank-7 truncation of Z keeps its right singular vectors, so its
     # kernel is spanned by the last two of them.
     _, _, Vt = np.linalg.svd(_kron_rows(Pn[:, 0], Pn[:, 1]))
@@ -225,7 +234,11 @@ def _estimate_all(algos, X, Y):
     (N,) (NaN and inf where it raises), and the raising instances' exceptions.
     "8pt" runs the module-global (maybe traced) ``eight_point`` per instance;
     "7pt" and "cube8" share one ``pencil.solve``, 7pt on the first 7 rows."""
-    N, Xu, Yu = len(X), _unit_rows(X), _unit_rows(Y)
+    N = len(X)
+    # Both images' points in one stack, and their unit rows from one call.
+    XY = np.concatenate([X, Y], axis=1)
+    XYu = _unit_rows(XY)
+    Xu, Yu = XYu[:, : X.shape[1]], XYu[:, X.shape[1] :]
     failures, candidates = [{} for _ in algos], [None] * len(algos)
     # (algorithm index, conditioning or None, generators) of each pencil
     # estimator, and their failures from the start under the joint index
@@ -246,7 +259,7 @@ def _estimate_all(algos, X, Y):
         elif algo == "cube8":
             if X.shape[1] != 8 or Y.shape[1] != 8:
                 raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
-            pencils.append((j, *_cube_eight_point(X, Y, Xu, Yu, joint, len(pencils) * N)))
+            pencils.append((j, *_cube_eight_point(XY, XYu, joint, len(pencils) * N)))
         else:
             raise ValueError(f"unknown estimator {algo!r}")
     if pencils:

@@ -254,9 +254,14 @@ class PlaneChart:
             _as_array(getattr(self, name), (size,), f"chart {name}")
 
     def point(self, u, v):
-        """Homogeneous point at (u, v); arrays u, v broadcast to a stack."""
+        """Homogeneous point at (u, v); arrays u, v broadcast to a stack.
+        ValueError unless every point is finite."""
         o = np.asarray(self.origin, dtype=float)
-        p = o + np.multiply.outer(u, self.u_dir) + np.multiply.outer(v, self.v_dir)
+        # Finite fields and (u, v) can still overflow to non-finite points.
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = o + np.multiply.outer(u, self.u_dir) + np.multiply.outer(v, self.v_dir)
+        if not np.isfinite(p).all():
+            raise ValueError("chart grid points must be finite")
         return np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
 
 
@@ -312,12 +317,11 @@ def region_grid(C, f1, chart, resolution, method="auto"):
         raise ValueError(f"unknown region_grid method {method!r}")
     C = C if isinstance(C, CubeConfig) else CubeConfig(C)
     f1 = as_point(f1, 4)
-    # Finite ranges and directions can still overflow to non-finite points.
+    # Finite ranges can still overflow here; chart.point rejects the
+    # non-finite grid points that gives.
     with np.errstate(over="ignore", invalid="ignore"):
         us, vs = (np.linspace(*r, resolution) for r in (chart.u_range, chart.v_range))
-        f2s = chart.point(us[:, None], vs).reshape(-1, 4)
-    if not np.isfinite(f2s).all():
-        raise ValueError("chart grid points must be finite")
+    f2s = chart.point(us[:, None], vs).reshape(-1, 4)
     if method == "general":
         Q = np.zeros((len(f2s), 4, 4))
         for i, f2 in enumerate(f2s):

@@ -644,6 +644,17 @@ class TestRegionGrid:
             with pytest.raises(ValueError, match="chart grid points must be finite"):
                 region_grid(unit_cube(), [2.0, 3.0, 4.0, 1.0], chart, 4, method=method)
 
+    def test_chart_point_rejects_overflow(self):
+        # The chart maps its own (u, v) with the same check region_grid
+        # relies on: a ValueError, not an inf or a RuntimeWarning.
+        chart = PlaneChart((0.0, 0.0, 5.0), (1e308, 0.0, 0.0), (0.0, 1.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u, v in ((-6.0, 0.0), (np.array([0.5, 6.0]), np.array([1.0, 2.0])), (np.nan, 0.0)):
+                with pytest.raises(ValueError, match="chart grid points must be finite"):
+                    chart.point(u, v)
+            assert chart.point(0.5, 2.0).tolist() == [0.5 * 1e308, 2.0, 5.0, 1.0]
+
 
 # sha256 of repr(region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method)).
 # The "general" pins were recorded before the classification moved to
