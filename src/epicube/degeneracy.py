@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateIntersection, ExhaustedRetries, LengthMismatch
-from .projective import DEFAULT_TOL, _as_array, _unit_rows, as_points
+from .projective import DEFAULT_TOL, _as_array, _in_range, _unit_rows, as_points
 
 # Vertex labels of the cube inside the 10-point labeling; 4 and 5 are the
 # focal-point slots.
@@ -273,24 +273,29 @@ def build_Z(X, Y):
     """Constraint matrix of the bilinear relations Y_i^T F X_i = 0.
 
     Row i is kron(Y_i, X_i), paired with the row-major vectorization of F
-    so that row . vec(F) = Y_i^T F X_i.
+    so that row . vec(F) = Y_i^T F X_i.  A point whose largest |coordinate|
+    is outside [1e-150, 1e150] is first scaled by a power of two into [1/2,
+    1), so at such scales row i is kron(Y_i, X_i) times a positive power of
+    two: Z keeps its rank and kernel, and no row under- or overflows.
     """
     X = as_points(X, 3)
     Y = as_points(Y, 3)
     if len(X) != len(Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
-    return _kron_rows(X, Y)
+    return _kron_rows(_in_range(X), _in_range(Y))
 
 
 def _kron_rows(X, Y):
-    """build_Z on (..., n, 3) stacks of checked points."""
+    """build_Z on (..., n, 3) stacks of checked points, without its scaling:
+    the caller brings extreme points ``_in_range``."""
     return (Y[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (9,))
 
 
 def _ranks(s, rank_tol=DEFAULT_TOL):
     """Number of singular values above rank_tol * sigma_max, 0 for an empty
     or all-zero row, for each row of a (..., k) descending stack."""
-    return np.sum(s > rank_tol * s[..., :1], axis=-1)
+    # np.sum without its per-call overhead.
+    return np.add.reduce(s > rank_tol * s[..., :1], axis=-1)
 
 
 def numerical_rank(M, rank_tol=DEFAULT_TOL):

@@ -20,6 +20,7 @@ from .exceptions import CoincidentCenters, DegenerateCloud, DegenerateInput, Epi
 from .projective import (
     _as_array,
     _canon_rows,
+    _in_range,
     _residuals,
     _unit_pairs,
     _unit_rows,
@@ -85,8 +86,10 @@ def eight_point(X, Y):
         raise ValueError(f"need at least 8 correspondences, got {len(X)}")
     if len(X) != len(Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
-    # kernel_basis(build_Z(X, Y)) on checked inputs.
-    _, s, vt = np.linalg.svd(_kron_rows(X, Y), full_matrices=True)
+    # kernel_basis(build_Z(X, Y)) on checked inputs, both images' points
+    # brought in range by one call.
+    XY = _in_range(np.concatenate((X, Y)))
+    _, s, vt = np.linalg.svd(_kron_rows(XY[: len(X)], XY[len(X) :]), full_matrices=True)
     dim = 9 - int(_ranks(s))
     if dim != 1:
         raise DegenerateInput(dim)
@@ -174,7 +177,7 @@ def seven_point(X, Y):
 def _seven_point(X, Y, failures, at=0):
     """The (N, 2, 9) pencil generators of seven_point on (N, 7, 3) checked
     stacks, for ``pencil.solve``; instance n fails under key at + n."""
-    _, s, Vt = np.linalg.svd(_kron_rows(X, Y))
+    _, s, Vt = np.linalg.svd(_kron_rows(_in_range(X), _in_range(Y)))
     dim = 9 - _ranks(s)
     for n in (dim != 2).nonzero()[0].tolist():
         failures[at + n] = DegenerateInput(int(dim[n]))
@@ -217,7 +220,7 @@ def _cube_eight_point(XY, XYu, failures, at=0):
     T, Pn = T.reshape(N, 2, 3, 3), Pn.reshape(P.shape)
     if not all_affine:
         T = np.where(affine[:, None, None, None], T, np.eye(3))
-        Pn = np.where(affine[:, None, None, None], Pn, P)
+        Pn = np.where(affine[:, None, None, None], Pn, _in_range(P))
     if degenerate.any():
         for n in (affine & degenerate.reshape(N, 2).any(axis=1)).nonzero()[0].tolist():
             failures[at + n] = DegenerateCloud("all points coincide")

@@ -62,6 +62,22 @@ def _unit(V):
     return V / nrm[:, None]
 
 
+def _in_range(P):
+    """The (..., n, d) points P, each point whose largest |coordinate| is
+    outside [1e-150, 1e150] scaled by a power of two to one in [1/2, 1).
+    That is exact and leaves every other point as it is, and the largest
+    product of two points' coordinates then stays within [1e-300, 1e300]."""
+    a = np.abs(P)
+    # The ufuncs' reductions without the array methods' per-call overhead.
+    if 1e-150 <= np.minimum.reduce(a, None, initial=1.0) and np.maximum.reduce(a, None, initial=1.0) <= 1e150:
+        return P
+    m = a.max(axis=-1)
+    odd = (m < 1e-150) | (m > 1e150)
+    P = P.copy()
+    P[odd] = np.ldexp(P[odd], -np.frexp(m[odd])[1][:, None])
+    return P
+
+
 def _canon_rows(V):
     """``canon`` of each V[i] of a stack."""
     out = _unit(V.reshape(len(V), math.prod(V.shape[1:])))
@@ -115,19 +131,34 @@ def _as_array(x, shape=None, what="matrix"):
 def project_all(camera, P):
     """Project an (n, 4) world configuration; returns (n, 3) image points.
 
+    An image point is defined up to scale, so where a row of camera @ p
+    would overflow, or its largest entry would fall below the smallest
+    normal float, p is projected by the camera and p each scaled by a power
+    of two instead, which is exact: no row is zero or non-finite.
     Raises FocalPointProjection when any point is the camera center.
     """
     A = _as_array(camera, (3, 4), "camera")
     P = as_points(P, 4)
-    # einsum matches A @ p bit for bit; P @ A.T does not, and its last-bit
-    # changes can flip residual ties between candidates.
-    img = np.einsum("ij,nj->ni", A, P)
+    a = np.abs(A).max()
     # |A p| <= 1e-12 |A| |p|, tested on A at max |entry| 1 and unit rows of P
     # so that no norm can under- or overflow at any scale.
-    A = A / (np.abs(A).max() or 1.0)
-    centre = np.linalg.norm(np.einsum("ij,nj->ni", A, _unit_rows(P)), axis=1) <= 1e-12 * np.linalg.norm(A)
+    An = A / (a or 1.0)
+    centre = np.linalg.norm(np.einsum("ij,nj->ni", An, _unit_rows(P)), axis=1) <= 1e-12 * np.linalg.norm(An)
     if centre.any():
         raise FocalPointProjection("point projects to the zero vector")
+    # Off the centre 1e-12 max|A| max|p| < |A p| <= 4 max|A| max|p|, so no
+    # row leaves the range while max|A| times every |coordinate| is within
+    # [1e-280, 1e300].  einsum matches A @ p bit for bit; P @ A.T does not,
+    # and its last-bit changes can flip residual ties between candidates.
+    p = np.abs(P)
+    lo, hi = float(a) * float(np.minimum.reduce(p, None)), float(a) * float(np.maximum.reduce(p, None))
+    if 1e-280 <= lo and hi <= 1e300:
+        return np.einsum("ij,nj->ni", A, P)
+    with np.errstate(all="ignore"):
+        img = np.einsum("ij,nj->ni", A, P)
+        largest = np.abs(img).max(axis=1)
+    odd = ~((largest >= np.finfo(float).tiny) & np.isfinite(largest))
+    img[odd] = np.einsum("ij,nj->ni", np.ldexp(A, -np.frexp(a)[1]), _in_range(P[odd]))
     return img
 
 

@@ -1,13 +1,8 @@
 """Estimator inputs shared by the tests, and the digests that pin the
 estimators' outputs on them.
 
-Run as a script from a source checkout to print those digests for the
-``epicube`` on the path, so two commits can be compared:
-
-    PYTHONPATH=src python tests/estimate_pool.py
-
 It imports nothing of ``epicube`` that a caller of the estimators does not
-see, so it runs against older commits as well.
+see, so ``fingerprint.py`` can print its digests for older commits as well.
 """
 
 import hashlib
@@ -156,8 +151,3 @@ def estimate_hashes(X, Y):
         ),
         "pencil_solve": _digest(p for F1, F2 in pairs for p in _outcome(lambda: solved(F1, F2))),
     }
-
-
-if __name__ == "__main__":
-    for name, digest in estimate_hashes(*pinned_pool()).items():
-        print(name, digest)

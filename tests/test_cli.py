@@ -6,7 +6,7 @@ import pytest
 from epicube.cli import main
 from epicube.degeneracy import UNIT_CUBE_VERTICES, random_combinatorial_cube
 from epicube.estimators import ALGOS, cube_eight_point, eight_point, seven_point
-from epicube.projective import canonical_fmatrix, epipolar_residual, project_all
+from epicube.projective import canonical_fmatrix, epipolar_residual, grassmann_angle, project_all
 from epicube.simulate import add_noise, sample_camera_pair
 from conftest import A1, A2, X_IMAGE, Y_IMAGE
 
@@ -113,6 +113,23 @@ class TestEstimate:
         assert main(["estimate", "--input", str(path), "--algo", algo]) == 0
         expected = [" ".join(repr(float(v)) for v in row) for row in F]
         assert capsys.readouterr().out.splitlines() == expected + [f"residual: {residual!r}"]
+
+    @pytest.mark.parametrize("algo", ["8pt", "7pt"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_extreme_scales(self, algo, scale, tmp_path, capsys):
+        # Eight random points seen by look-at cameras, every coordinate of
+        # the CSV at 1e+-170: the estimate is the one at scale 1.  (cube8
+        # conditions these affine images, which undoes any scale.)
+        rng = np.random.default_rng(0)
+        P = np.hstack([rng.uniform(-1.0, 1.0, size=(8, 3)), np.ones((8, 1))])
+        cam1, cam2 = sample_camera_pair(rng, 6.0)
+        X, Y = project_all(cam1, P), project_all(cam2, P)
+        path = tmp_path / "corr.csv"
+        write_correspondences(path, X * scale, Y * scale)
+        assert main(["estimate", "--input", str(path), "--algo", algo]) == 0
+        F = np.array([[float(v) for v in row.split()] for row in capsys.readouterr().out.splitlines()[:3]])
+        expected = eight_point(X, Y) if algo == "8pt" else seven_point(X[:7], Y[:7]).best(X, Y)[0]
+        assert grassmann_angle(F, expected) < 1e-9
 
     def test_missing_file(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 2

@@ -97,6 +97,16 @@ class TestBuildZ:
         with pytest.raises(LengthMismatch):
             build_Z(rng.standard_normal((3, 3)), rng.standard_normal((4, 3)))
 
+    @pytest.mark.parametrize("scale", [2.0**-560, 2.0**560])
+    def test_extreme_scales(self, standard_instance, scale):
+        # Each row is the printed one times a power of two: no zero or
+        # infinite row, and the rank stays 7.
+        Z = build_Z(standard_instance["X"] * scale, standard_instance["Y"] * scale)
+        ratio = Z[:, 0] / standard_instance["Z"][:, 0]
+        assert np.array_equal(Z, ratio[:, None] * standard_instance["Z"])
+        assert np.array_equal(np.exp2(np.round(np.log2(ratio))), ratio)
+        assert numerical_rank(Z) == 7
+
 
 class TestRankAndKernel:
     def test_fixture_kernel_dimension(self, standard_instance):
@@ -470,6 +480,43 @@ class TestRandomCube:
         with pytest.raises(ExhaustedRetries, match="no valid cube"):
             random_combinatorial_cube(rng)
         assert len(drawn) == degeneracy.MAX_CUBE_CANDIDATES
+
+    def test_skips_a_candidate_whose_planes_meet_at_infinity(self, rng, monkeypatch):
+        # The first normal form's facet planes meet at infinity (w = 0), so
+        # _normal_form raises DegenerateIntersection; the next draw is used.
+        closure, closed = degeneracy.cube_closure, []
+
+        def at_infinity_first(p1, p6, p7):
+            closed.append(closure(p1, p6, p7))
+            return (*closed[-1][:3], 0) if len(closed) == 1 else closed[-1]
+
+        monkeypatch.setattr(degeneracy, "cube_closure", at_infinity_first)
+        cube = random_combinatorial_cube(rng)
+        assert len(closed) >= 2 and is_combinatorial_cube(cube.vertices)[0]
+
+    def test_skips_flat_and_rejected_candidates(self, monkeypatch):
+        # With the convexity screen off every candidate reaches _fit: the
+        # first is fitted by the zero map, which _fit finds flat, and the
+        # nonconvex ones after it reach CubeConfig, which rejects them.
+        fit, check, fitted, rejected = degeneracy._fit, degeneracy.CubeConfig, [], []
+
+        def zero_map_first(M, pts):
+            fitted.append(M)
+            return fit([[0, 0, 0]] * 3 if len(fitted) == 1 else M, pts)
+
+        def config(vertices):
+            try:
+                return check(vertices)
+            except ValueError:
+                rejected.append(vertices)
+                raise
+
+        monkeypatch.setattr(degeneracy, "_surely_nonconvex", lambda pts: False)
+        monkeypatch.setattr(degeneracy, "_fit", zero_map_first)
+        monkeypatch.setattr(degeneracy, "CubeConfig", config)
+        cube = random_combinatorial_cube(np.random.default_rng(0))
+        assert rejected and len(fitted) == len(rejected) + 2
+        assert is_combinatorial_cube(cube.vertices)[0]
 
     def test_image_rank_drop(self, rng):
         # The central claim: Z of any cube image has rank at most 7.

@@ -738,3 +738,69 @@ class TestCubeEightPoint:
         assert np.all(np.abs(Yh[:, 2]) > 0.5 * np.abs(Y[:, 2]))
         expected = np.linalg.inv(H2).T @ F @ np.linalg.inv(H1)
         assert grassmann_angle(cube_eight_point(Xh, Yh), expected) < 1e-8
+
+
+def look_at_scene():
+    """Eight random points seen by two radius-6 look-at cameras, and F."""
+    rng = np.random.default_rng(0)
+    P = homogenize(rng.uniform(-1.0, 1.0, size=(8, 3)))
+    A1, A2 = sample_camera_pair(rng, 6.0)
+    return project_all(A1, P), project_all(A2, P), fundamental_from_cameras(A1, A2)
+
+
+# Every image point scaled by 2^-560 or 2^560: a product of two coordinates,
+# as Z holds, would under- or overflow, so Z is built from each point scaled
+# back by a power of two.
+EXTREME_SCALES = [2.0**-560, 2.0**560]
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    def test_generic_scene(self, scale):
+        X, Y, F_true = look_at_scene()
+        Xs, Ys = X * scale, Y * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grassmann_angle(eight_point(Xs, Ys), F_true) < 1e-9
+            assert min(grassmann_angle(F, F_true) for F in seven_point(Xs[:7], Ys[:7]).candidates) < 1e-9
+            assert grassmann_angle(cube_eight_point(Xs, Ys), F_true) < 1e-9
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    def test_cube_scene(self, standard_instance, scale):
+        # The second image has points at infinity, so cube8 takes the images
+        # unconditioned.
+        X, Y, F = standard_instance["X"], standard_instance["Y"], standard_instance["F"]
+        Xs, Ys = X * scale, Y * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInput) as info:
+                eight_point(Xs, Ys)
+            assert info.value.kernel_dim == 2
+            candidates = zip(seven_point(Xs[:7], Ys[:7]).candidates, seven_point(X[:7], Y[:7]).candidates, strict=True)
+            assert all(grassmann_angle(Fs, F7) < 1e-12 for Fs, F7 in candidates)
+            assert proj_equal(cube_eight_point(Xs, Ys), F)
+
+    @pytest.mark.parametrize("scale", [2.0**-100, 2.0**100])
+    def test_ordinary_scales_keep_their_bits(self, scale):
+        X, Y, _ = look_at_scene()
+        assert np.array_equal(eight_point(X * scale, Y * scale), eight_point(X, Y))
+        candidates = zip(seven_point(X[:7] * scale, Y[:7] * scale).candidates, seven_point(X[:7], Y[:7]).candidates)
+        assert all(np.array_equal(Fs, F) for Fs, F in candidates)
+
+    def test_an_extreme_instance_leaves_its_stack_alone(self, standard_instance):
+        # Instances 1 and 3 are 0 and 2 at extreme scales: each gives nearly
+        # the same estimate as its original, and 0 and 2 keep their bits.
+        X, Y, _ = look_at_scene()
+        Xc, Yc = standard_instance["X"], standard_instance["Y"]
+        Xs = np.array([X, X * 2.0**560, Xc, Xc * 2.0**-560])
+        Ys = np.array([Y, Y * 2.0**560, Yc, Yc * 2.0**-560])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F, _, failures = _estimate_all(ALGOS, Xs, Ys)
+        F0, _, failures0 = _estimate_all(ALGOS, Xs[[0, 2]], Ys[[0, 2]])
+        for k, algo in enumerate(ALGOS):
+            assert np.array_equal(F[k][[0, 2]], F0[k], equal_nan=True)
+            failed = {2 * n + 1 for n in failures0[k]}
+            assert sorted(failures[k]) == sorted({2 * n for n in failures0[k]} | failed)
+            for n in {1, 3} - failed:
+                assert grassmann_angle(F[k][n], F[k][n - 1]) < 1e-9, algo

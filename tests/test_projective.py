@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,26 @@ class TestCamera:
                 project_all(cam, [c])
             with pytest.raises(FocalPointProjection):
                 project_all(cam, np.vstack([P, c]))
+
+    @pytest.mark.parametrize("camera_scale, point_scale", [(1e300, 1e10), (1e-300, 1e-30), (2.0**-1000, 2.0**-60)])
+    def test_project_all_rescales_where_the_product_leaves_the_range(
+        self, standard_instance, camera_scale, point_scale
+    ):
+        # Raw products would be inf and NaN, zero, or subnormal: the image
+        # points come back finite, normal and right up to scale, and a row
+        # whose product stays in range keeps its bits.
+        A = np.array(standard_instance["A1"], dtype=float)
+        P = np.array(standard_instance["cube"], dtype=float)
+        X = project_all(A, P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Xs = project_all(A * camera_scale, P * point_scale)
+            mixed = project_all(A * camera_scale, np.vstack([P[:1] * point_scale, P[1:] / camera_scale]))
+        assert np.all(np.abs(Xs).max(axis=1) >= np.finfo(float).tiny) and np.isfinite(Xs).all()
+        assert all(proj_equal(x, y) for x, y in zip(Xs, X))
+        assert np.array_equal(mixed[1:], np.einsum("ij,nj->ni", A * camera_scale, P[1:] / camera_scale))
+        assert proj_equal(mixed[0], X[0])
+        as_points(Xs, 3)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
     @pytest.mark.parametrize("offset, raises", [(1e-14, True), (1e-9, False)])

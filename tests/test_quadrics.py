@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import pickle
 import warnings
 from collections import Counter
@@ -40,6 +39,8 @@ from epicube.quadrics import (
     unit_cube_quadric,
 )
 from epicube.simulate import CAMERA_RADIUS, sample_camera_pair
+
+from fingerprint import grid_digests
 
 # The standard instance's focal points (second camera one unit closer).
 F1 = np.array([-2.0, -3.0, -2.0, 1.0])
@@ -656,13 +657,14 @@ class TestRegionGrid:
             assert chart.point(0.5, 2.0).tolist() == [0.5 * 1e308, 2.0, 5.0, 1.0]
 
 
-# sha256 of repr(region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method)).
-# The "general" pins were recorded before the classification moved to
-# whole-array work; the "auto" ones when its margin became the det bound.
-# PINNED_CLASSES holds the sha256 of each grid's (u, v, tag, inertia) rows,
-# the same for both methods, recorded before that margin change and
-# unchanged by it.  The chart passes through f1, so each grid has a zero
-# (pencil) cell besides ruled and non-ruled ones.
+# The two fingerprint.grid_digests of region_grid(cube, F1_ON_CHART,
+# PINNED_CHART, 20, method).  PINNED_CLASSES holds the sha256 of each grid's
+# (u, v, tag, inertia) rows, the same for both methods, and PINNED_GRIDS that
+# of repr(cells), margins included.  The "general" cell pins were recorded
+# before the classification moved to whole-array work; the "auto" ones when
+# its margin became the det bound.  The class pins were recorded before that
+# margin change and are unchanged by it.  The chart passes through f1, so each
+# grid has a zero (pencil) cell besides ruled and non-ruled ones.
 PINNED_CHART = PlaneChart((0.0, 0.0, 4.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-8.0, 11.0), (-8.0, 11.0))
 F1_ON_CHART = [2.0, 3.0, 4.0, 1.0]
 PINNED_GRIDS = {
@@ -686,6 +688,4 @@ def test_region_grid_pinned_output(cube_seed, method):
     cube = unit_cube() if cube_seed == "unit" else random_combinatorial_cube(np.random.default_rng(cube_seed))
     cells = region_grid(cube, F1_ON_CHART, PINNED_CHART, 20, method=method)
     assert (0, 0, 4) in {qc.inertia for _, _, qc in cells}
-    assert hashlib.sha256(repr(cells).encode()).hexdigest() == PINNED_GRIDS[cube_seed, method]
-    rows = repr([(u, v, qc.tag, qc.inertia) for u, v, qc in cells])
-    assert hashlib.sha256(rows.encode()).hexdigest() == PINNED_CLASSES[cube_seed]
+    assert grid_digests(cells) == (PINNED_CLASSES[cube_seed], PINNED_GRIDS[cube_seed, method])
