@@ -1,23 +1,23 @@
 """Fundamental-matrix estimators: classical 8-point, 7-point pencil
 machinery, and the cube-aware 8-point variant that survives the rank drop
-caused by combinatorial-cube inputs.
+caused by combinatorial-cube inputs by reading the cube's facets.
 
-The 7-point and cube-8-point estimators each have one core that gives the
-candidates of a stack of N instances on whole arrays.  ``_select`` is the one
-selection rule and ``_estimate_all`` the one dispatcher over ALGOS; the public
-forms and the CLI are stacks of one.
+The 7-point and cube-8-point estimators each have one core that runs a stack
+of N instances on whole arrays.  ``_select`` is the one selection rule and
+``_estimate_all`` the one dispatcher over ALGOS; the public forms and the CLI
+are stacks of one.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pencil
-from .degeneracy import _kron_rows, _ranks
+from .degeneracy import FACET_IDX, _kron_rows, _ranks
 from .exceptions import CoincidentCenters, DegenerateCloud, DegenerateInput, EpicubeError, LengthMismatch
 from .projective import (
+    DEFAULT_TOL,
     _as_array,
     _canon_rows,
     _in_range,
@@ -174,13 +174,13 @@ def seven_point(X, Y):
     return _solution(*_one(pencil.solve, _one(_seven_point, X, Y)[0]))
 
 
-def _seven_point(X, Y, failures, at=0):
+def _seven_point(X, Y, failures):
     """The (N, 2, 9) pencil generators of seven_point on (N, 7, 3) checked
-    stacks, for ``pencil.solve``; instance n fails under key at + n."""
+    stacks, for ``pencil.solve``; instance n fails under key n."""
     _, s, Vt = np.linalg.svd(_kron_rows(_in_range(X), _in_range(Y)))
     dim = 9 - _ranks(s)
     for n in (dim != 2).nonzero()[0].tolist():
-        failures[at + n] = DegenerateInput(int(dim[n]))
+        failures[n] = DegenerateInput(int(dim[n]))
     return Vt[:, 7:]
 
 
@@ -193,41 +193,66 @@ def eckart_young_rank7(Z):
 
 
 def cube_eight_point(X, Y):
-    """Cube-aware 8-point algorithm.
-
-    Conditions the images, truncates Z to rank 7, solves the rank-2 pencil
-    of the two kernel generators, and returns the denormalized candidate
-    with minimal epipolar residual on the original points.  Images with a
-    point at infinity cannot be conditioned and are used as given.
+    """Cube-aware 8-point algorithm on the images of a combinatorial cube's
+    vertices in label order 0,1,2,3,6,7,8,9 (``CubeConfig.vertices``): the
+    least squares on Z and on "H_k^T F is skew-symmetric" for each facet's
+    homography H_k, projected to rank 2.  Raises DegenerateInput where its
+    kernel is not one-dimensional.  Images with a point at infinity cannot
+    be conditioned and are used as given.
     """
     return _estimate_one("cube8", X, Y)[0]
 
 
-def _cube_eight_point(XY, XYu, failures, at=0):
-    """The conditioning transforms, (N, 2, 3, 3), and pencil generators of
-    cube_eight_point on an (N, 16, 3) stack of checked points, each
-    instance's eight X then its eight Y, with unit rows XYu, the generators
-    as ``pencil.solve`` takes them; instance n fails under key at + n of
-    ``failures``."""
-    N = len(XY)
-    P = XY.reshape(N, 2, 8, 3)
-    affine = (np.abs(XYu[..., 2]) > 1e-12).all(axis=1)
-    all_affine = affine.all()
-    # Every instance is conditioned; one with a point at infinity, the only
-    # kind that can divide by zero here, then takes its images as given.
-    with contextlib.nullcontext() if all_affine else np.errstate(all="ignore"):
-        T, Pn, degenerate = _condition((P[..., :2] / P[..., 2:]).reshape(-1, 8, 2))
-    T, Pn = T.reshape(N, 2, 3, 3), Pn.reshape(P.shape)
-    if not all_affine:
-        T = np.where(affine[:, None, None, None], T, np.eye(3))
-        Pn = np.where(affine[:, None, None, None], Pn, _in_range(P))
-    if degenerate.any():
-        for n in (affine & degenerate.reshape(N, 2).any(axis=1)).nonzero()[0].tolist():
-            failures[at + n] = DegenerateCloud("all points coincide")
-    # The rank-7 truncation of Z keeps its right singular vectors, so its
-    # kernel is spanned by the last two of them.
-    _, _, Vt = np.linalg.svd(_kron_rows(Pn[:, 0], Pn[:, 1]))
-    return T, Vt[:, 7:]
+# COMPATIBILITY maps a flattened H to the rows (a, b), a <= b, of H^T F + F^T H
+# in the flattened F, H[c, a] at F[c, b] plus H[c, b] at F[c, a]: exact.
+_H, _E, (_A, _B) = np.eye(9).reshape(9, 3, 3, 1), np.eye(3), np.triu_indices(3)
+COMPATIBILITY = (_H[..., _A, :] * _E[_B] + _H[..., _B, :] * _E[_A]).swapaxes(1, 2).reshape(9, 54)
+# Indices into an image's flattened (8, 3) points: for row i of facet k with
+# quadruple p, the factors a[c+1], b[c+2], a[c+2], b[c+1] of entry c of
+# a x b = p[i+1] x p[i+2] (indices mod 3), then p[3] and p[i].
+_POINTS = [[1, 2, 0], [2, 0, 1], [1, 2, 0], [2, 0, 1], [3, 3, 3], [0, 1, 2]]
+_SHIFTS = [[1], [2], [2], [1], [0], [0]]
+FACET_GATHER = 3 * FACET_IDX[:, _POINTS, None].swapaxes(0, 1) + (np.arange(3) + _SHIFTS)[:, None, None] % 3
+
+
+def _cube_eight_point(XYu, failures):
+    """cube_eight_point on an (N, 16, 3) stack of the unit rows of checked
+    points, each instance's eight X then its eight Y: each F, (N, 3, 3), NaN
+    where instance n raises, its exception under key n of ``failures``."""
+    N = len(XYu)
+    # An instance with a point at infinity cannot be conditioned and takes
+    # its unit rows as given.
+    affine = (np.abs(XYu[..., 2]) > 1e-12).all(axis=1)[:, None, None]
+    T, Pn, degenerate = _condition((XYu[..., :2] / np.where(affine, XYu[..., 2:], 1.0)).reshape(-1, 8, 2))
+    Pn /= np.sqrt(np.vecdot(Pn, Pn))[..., None]
+    T = np.where(affine[..., None], T.reshape(N, 2, 3, 3), np.eye(3))
+    Pn = np.where(affine[..., None], Pn.reshape(N, 2, 8, 3), XYu.reshape(N, 2, 8, 3))
+    # Each facet's H from projective bases, no division: with K the adjugate
+    # of [p0 p1 p2] and lam = K p3, H ~ [y0 y1 y2] diag(lam_y[i] lam_x[i+1]
+    # lam_x[i+2]) K_x.  lam and det[p0 p1 p2], the quadruple's four triple
+    # brackets, are ~0 where three points are collinear: then H goes to 0.
+    G = Pn.reshape(N, 2, 24)[:, :, FACET_GATHER]
+    K = G[:, :, 0] * G[:, :, 1] - G[:, :, 2] * G[:, :, 3]
+    brackets = np.vecdot(K[:, :, None], G[:, :, 4:])
+    lx = brackets[:, 0, 0]
+    mu = brackets[:, 1, 0] * lx[..., [1, 2, 0]] * lx[..., [2, 0, 1]]
+    H = ((G[:, 1, 5] * mu[..., None]).swapaxes(-1, -2) @ K[:, 0]).reshape(N, 6, 9)
+    planar = (np.abs(brackets) > DEFAULT_TOL).all(axis=(1, 2, 4))
+    H /= np.where(planar, np.sqrt(np.vecdot(H, H)), np.inf)[..., None]
+    A = np.concatenate([_kron_rows(Pn[:, 0], Pn[:, 1]), (H @ COMPATIBILITY).reshape(N, 36, 9)], axis=1)
+    # The Gram matrix's singular values are A's squared, rounded at eps s[0]:
+    # a kernel direction is one below 1e-6 of A's largest, 1e-12 squared.
+    _, s, Vt = np.linalg.svd(A.mT @ A)
+    dim = 9 - _ranks(s, 1e-12)
+    cloud = affine[:, 0, 0] & degenerate.reshape(N, 2).any(axis=1)
+    for n in (cloud | (dim > 1)).nonzero()[0].tolist():
+        failures[n] = DegenerateCloud("all points coincide") if cloud[n] else DegenerateInput(int(dim[n]))
+    # The nearest rank-2 matrix, denormalized.
+    U, s, V = np.linalg.svd(F := Vt[:, 8].reshape(N, 3, 3))
+    F -= s[:, 2, None, None] * U[:, :, 2, None] * V[:, 2, None]
+    F = _canon_rows(T[:, 1].swapaxes(1, 2) @ F @ T[:, 0])
+    F[list(failures)] = np.nan
+    return F
 
 
 def _estimate_all(algos, X, Y):
@@ -235,18 +260,13 @@ def _estimate_all(algos, X, Y):
     checked points, as three lists with one entry per algorithm: each
     instance's chosen F, (N, 3, 3), its residual on all n correspondences,
     (N,) (NaN and inf where it raises), and the raising instances' exceptions.
-    "8pt" runs the module-global (maybe traced) ``eight_point`` per instance;
-    "7pt" and "cube8" share one ``pencil.solve``, 7pt on the first 7 rows."""
+    "8pt" runs the module-global (maybe traced) ``eight_point`` per instance,
+    "7pt" the pencil of the first 7 rows, "cube8" ``_cube_eight_point``."""
     N = len(X)
     # Both images' points in one stack, and their unit rows from one call.
-    XY = np.concatenate([X, Y], axis=1)
-    XYu = _unit_rows(XY)
+    XYu = _unit_rows(np.concatenate([X, Y], axis=1))
     Xu, Yu = XYu[:, : X.shape[1]], XYu[:, X.shape[1] :]
     failures, candidates = [{} for _ in algos], [None] * len(algos)
-    # (algorithm index, conditioning or None, generators) of each pencil
-    # estimator, and their failures from the start under the joint index
-    # k * N + n of instance n of the k-th pencil.
-    pencils, joint = [], {}
     for j, algo in enumerate(algos):
         if algo == "8pt":
             candidates[j] = np.full((N, 1, 3, 3), np.nan)
@@ -258,22 +278,13 @@ def _estimate_all(algos, X, Y):
         elif algo == "7pt":
             if X.shape[1] < 7:
                 raise ValueError("the 7-point algorithm needs at least 7 correspondences")
-            pencils.append((j, None, _seven_point(X[:, :7], Y[:, :7], joint, len(pencils) * N)))
+            candidates[j] = pencil.solve(_seven_point(X[:, :7], Y[:, :7], failures[j]), failures[j])[1]
         elif algo == "cube8":
             if X.shape[1] != 8 or Y.shape[1] != 8:
                 raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")
-            pencils.append((j, *_cube_eight_point(XY, XYu, joint, len(pencils) * N)))
+            candidates[j] = _cube_eight_point(XYu, failures[j])[:, None]
         else:
             raise ValueError(f"unknown estimator {algo!r}")
-    if pencils:
-        roots, solved = pencil.solve(np.concatenate([G for *_, G in pencils]), joint)
-        for n, exc in joint.items():
-            failures[pencils[n // N][0]][n % N] = exc
-        for k, (j, T, _) in enumerate(pencils):
-            candidates[j] = c = solved[k * N : (k + 1) * N]
-            if T is not None:
-                n, m = (~np.isnan(roots[k * N : (k + 1) * N])).nonzero()
-                c[n, m] = _canon_rows(T[n, 1].transpose(0, 2, 1) @ c[n, m] @ T[n, 0])
     chosen = [_select(candidates[j], Xu, Yu) for j in range(len(algos))]
     F = [candidates[j][np.arange(N), best] for j, (best, _) in enumerate(chosen)]
     return F, [residual for _, residual in chosen], failures

@@ -2,8 +2,8 @@
 
 For each generator pair (F1, F2) of an (N, 2, 9) stack, ``solve`` finds the
 real roots of det(alpha*F1 + (1-alpha)*F2) = 0 whose members have rank 2,
-and those members; ``estimators`` builds its 7-point and cube-8-point
-estimators and ``pencil_solve`` on it.
+and those members; ``estimators`` builds its 7-point estimator and
+``pencil_solve`` on it.
 """
 
 import numpy as np

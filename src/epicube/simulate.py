@@ -161,9 +161,9 @@ def _geometry(cfg, trial_idx):
     cube = random_combinatorial_cube(cube_rng)
     for attempt in range(1, MAX_GEOMETRY_ATTEMPTS + 1):
         # A ruled 10-point quadric is a critical configuration: several
-        # rank-2 pencil members fit the data exactly and residual selection
-        # cannot tell them apart (a facet score can; no estimator uses one).
-        # Resample until well-posed (a fresh cube every 16 camera draws).
+        # rank-2 members of Z's pencil fit the data exactly, so the 7-point
+        # selection cannot tell them apart (cube8's facet rows can).  The
+        # sweep samples non-ruled geometry only (a fresh cube every 16 draws).
         if attempt % 16 == 0:
             cube = random_combinatorial_cube(cube_rng)
         c1, c2 = _camera_centres(cam_rng, CAMERA_RADIUS)

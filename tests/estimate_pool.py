@@ -41,12 +41,28 @@ def nonruled_geometries():
     return pool
 
 
+def ruled_geometries(count=40):
+    """Noise-free images of the first ``count`` cube geometries drawn as in
+    ``nonruled_geometries`` whose 10-point quadric is ruled or degenerate,
+    with true F."""
+    rng = np.random.default_rng(2024)
+    pool = []
+    while len(pool) < count:
+        cube = random_combinatorial_cube(rng)
+        A1, A2 = sample_camera_pair(rng, 6.0)
+        P = np.vstack([cube.vertices, focal_point(A1), focal_point(A2)])
+        if classify(quadric_through_points(P)).tag != NONRULED_NONDEGENERATE:
+            pool.append((project_all(A1, cube.vertices), project_all(A2, cube.vertices), fundamental_from_cameras(A1, A2)))
+    return pool
+
+
 def mixed_stack(nonruled):
     """(N, 8, 3) image stacks: noise-free and noisy images of the
     ``nonruled_geometries``, a generic scene, the standard instance (a point
     at infinity, so cube8 runs unconditioned), coincident points in the
-    first image, collinear ones (every member of cube8's pencil has rank 1),
-    and a repeated correspondence among the first seven."""
+    first image, collinear ones (no facet of the first image is planar for
+    cube8, so its kernel has three dimensions), and a repeated
+    correspondence among the first seven."""
     rng = np.random.default_rng(99)
     X, Y = [], []
     for Xc, Yc, _ in nonruled:
@@ -124,6 +140,11 @@ def _outcome(call):
     except EpicubeError as exc:
         return [type(exc).__name__, str(exc)]
     return list(out) if isinstance(out, tuple) else [out]
+
+
+def cube8_hash(pool):
+    """sha256 digest of cube_eight_point's outcome on each (X, Y, _) of pool."""
+    return _digest(p for X, Y, _ in pool for p in _outcome(lambda: cube_eight_point(X, Y)))
 
 
 def estimate_hashes(X, Y):

@@ -1,4 +1,4 @@
-"""One ``label sha256`` line per output of ``epicube``, 140 in all, to show
+"""One ``label sha256`` line per output of ``epicube``, 141 in all, to show
 that two commits give the same outputs, or which of them moved:
 
     git worktree add --detach ../base <base commit>
@@ -23,7 +23,7 @@ import numpy as np
 from epicube.cli import main as epicube
 from epicube.degeneracy import random_combinatorial_cube, unit_cube
 from epicube.quadrics import PlaneChart, region_grid
-from estimate_pool import estimate_hashes, pinned_pool
+from estimate_pool import cube8_hash, estimate_hashes, pinned_pool, ruled_geometries
 
 # The grids' first focal point, a tilted chart at z = 5 and one through F1.
 F1 = [2.0, 3.0, 4.0, 1.0]
@@ -129,6 +129,7 @@ def families(tmp):
         yield [f"estimate algo={algo}"], lambda algo=algo: [printed("estimate", "--input", images, "--algo", algo)]
     names = ("_estimate_all", "cube_eight_point", "seven_point", "pencil_solve")
     yield [f"estimates {name}" for name in names], lambda: [estimate_hashes(*pinned_pool())[n] for n in names]
+    yield ["estimates cube_eight_point ruled"], lambda: [cube8_hash(ruled_geometries())]
 
 
 def lines(labels, compute):

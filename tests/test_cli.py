@@ -95,19 +95,24 @@ class TestEstimate:
 
     @pytest.mark.parametrize("algo", ["7pt", "cube8"])
     def test_prints_the_library_f(self, algo, tmp_path, capsys):
-        # A noisy cube image whose F canonical_fmatrix moves in the last bit:
-        # stdout is F as the library returns it, not canonicalized again.
+        # The first noisy cube image whose F canonical_fmatrix moves in the
+        # last bit: stdout is F as the library returns it, not canonicalized
+        # again.
         rng = np.random.default_rng(2)
         cube = random_combinatorial_cube(rng)
         A1, A2 = sample_camera_pair(rng, 6.0)
-        X = add_noise(project_all(A1, cube.vertices), 0.02, rng)
-        Y = add_noise(project_all(A2, cube.vertices), 0.02, rng)
-        if algo == "7pt":
-            F, residual = seven_point(X[:7], Y[:7]).best(X, Y)
+        for _ in range(20):
+            X = add_noise(project_all(A1, cube.vertices), 0.02, rng)
+            Y = add_noise(project_all(A2, cube.vertices), 0.02, rng)
+            if algo == "7pt":
+                F, residual = seven_point(X[:7], Y[:7]).best(X, Y)
+            else:
+                F = cube_eight_point(X, Y)
+                residual = epipolar_residual(F, X, Y)
+            if not np.array_equal(canonical_fmatrix(F), F):
+                break
         else:
-            F = cube_eight_point(X, Y)
-            residual = epipolar_residual(F, X, Y)
-        assert not np.array_equal(canonical_fmatrix(F), F)
+            pytest.fail("canonical_fmatrix moved none of the 20 estimates")
         path = tmp_path / "corr.csv"
         write_correspondences(path, X, Y)
         assert main(["estimate", "--input", str(path), "--algo", algo]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epicube import estimators
-from epicube.degeneracy import build_Z, kernel_basis
+from epicube.degeneracy import FACET_IDX, build_Z, kernel_basis, random_combinatorial_cube
 from epicube.estimators import (
     ALGOS,
     RESIDUAL_TIE_TOL,
@@ -44,7 +45,7 @@ from epicube.projective import (
     proj_equal,
     project_all,
 )
-from epicube.simulate import add_noise, sample_camera_pair
+from epicube.simulate import add_noise, look_at_camera, sample_camera_pair
 
 from estimate_pool import (
     bench_like_pool,
@@ -53,6 +54,7 @@ from estimate_pool import (
     mixed_stack,
     nonruled_geometries,
     pinned_pool,
+    ruled_geometries,
     special_pencils,
 )
 
@@ -422,13 +424,13 @@ class TestStackedCore:
         expected = {
             "8pt": {DegenerateInput},
             "7pt": {DegenerateInput},
-            "cube8": {DegenerateCloud, IdenticallyZeroPencil},
+            "cube8": {DegenerateCloud, DegenerateInput},
         }
         assert {type(e) for e in failures.values()} == expected[algo]
 
     def test_all_estimators_in_one_call(self, mixed_pool):
-        # One call over ALGOS, with one pencil solve for 7pt and cube8, gives
-        # each algorithm what a call of it alone gives, bit for bit.
+        # One call over ALGOS gives each algorithm what a call of it alone
+        # gives, bit for bit.
         X, Y = mixed_pool
         F, residual, failures = _estimate_all(ALGOS, X, Y)
         assert len(F) == len(residual) == len(failures) == len(ALGOS)
@@ -440,7 +442,7 @@ class TestStackedCore:
             assert [type(e) for e in failures[k].values()] == [type(e) for e in expected.values()]
             assert [str(e) for e in failures[k].values()] == [str(e) for e in expected.values()]
         seen = {type(e) for f in failures for e in f.values()}
-        assert seen == {DegenerateInput, DegenerateCloud, IdenticallyZeroPencil}
+        assert seen == {DegenerateInput, DegenerateCloud}
 
     def test_unknown_estimator(self, mixed_pool):
         with pytest.raises(ValueError, match="unknown estimator"):
@@ -449,8 +451,8 @@ class TestStackedCore:
     @given(order=st.lists(st.integers(0, 16), min_size=1, max_size=10))
     # mixed_pool: 0-12 are live for cube8 and conditioned, so a stack of them
     # takes every all-clear shortcut; 13 has a point at infinity, 14
-    # coincident points (DegenerateCloud), 15 collinear ones
-    # (IdenticallyZeroPencil) and 16 a repeated correspondence.
+    # coincident points (DegenerateCloud), 15 collinear ones (DegenerateInput)
+    # and 16 a repeated correspondence.
     @example(order=list(range(13)))
     @example(order=[14, 0, 13, 15, 16, 5, 14])
     @settings(max_examples=40, deadline=None)
@@ -476,11 +478,13 @@ class TestStackedCore:
         assert estimate_hashes(*pinned_pool()) == PINNED_ESTIMATES
 
 
-# sha256 digests of estimate_hashes on pinned_pool(), recorded before the
-# stacked core's all-clear shortcuts: they must not move a bit.
+# sha256 digests of estimate_hashes on pinned_pool(): seven_point and
+# pencil_solve as recorded before the stacked core's all-clear shortcuts,
+# _estimate_all and cube_eight_point as recorded when cube8 became the facet
+# least squares.  None of them may move a bit.
 PINNED_ESTIMATES = {
-    "_estimate_all": "c74071f5f0930a16348ee46534bc843f59b62e974488b69868d4bd584bc2d3c5",
-    "cube_eight_point": "f6f5b8050353dcb2a7d0546b8b2d71dd2b68b6ff52bc38193df8a34c8ed7603a",
+    "_estimate_all": "efbeb75ca37b6c55d6f0237ee2e619334593091124c5db6abff69e233a521928",
+    "cube_eight_point": "e78f669c3d2c9941970c317a6434b54acd6a8355fc97e2118fe06261210a2b51",
     "seven_point": "0592438c19eb1127953511c7e24f7dc31600a6d3b625cc84f763f876c5e9de1d",
     "pencil_solve": "aa96e5605cd9d5bde9cf0dc0c78afb949f6ca6e632ebdfdd13b5a43381e166d9",
 }
@@ -685,18 +689,68 @@ class TestEckartYoung:
         assert np.isclose(np.linalg.norm(Z - Zp), s[7], rtol=1e-12)
 
 
+def reference_cube_eight_point(X, Y):
+    """cube_eight_point written out one facet at a time: Hartley conditioning
+    (none where an image has a point at infinity), unit rows, each facet's
+    homography by a DLT unless three of its points are collinear in either
+    image, the rows of H^T F + F^T H = 0 on unit-Frobenius H, the last right
+    singular vector of them stacked under Z, and its nearest rank-2 matrix,
+    denormalized."""
+    if (np.abs(_unit_rows(np.vstack([X, Y]))[:, 2]) > 1e-12).all():
+        (T1, X), (T2, Y) = hartley_normalize(X), hartley_normalize(Y)
+    else:
+        T1 = T2 = np.eye(3)
+    X, Y = _unit_rows(X), _unit_rows(Y)
+    rows = [np.kron(y, x) for x, y in zip(X, Y)]
+    for facet in FACET_IDX:
+        x, y = X[facet], Y[facet]
+        triples = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+        if min(abs(np.linalg.det(p[t])) for p in (x, y) for t in triples) <= 1e-10:
+            continue
+        # y x (H x) = 0, all three rows, as y may lie at infinity.
+        dlt = [np.kron([[0, -w, v], [w, 0, -u], [-v, u, 0]], q) for (u, v, w), q in zip(y, x)]
+        H = np.linalg.svd(np.vstack(dlt))[2][-1].reshape(3, 3)
+        H /= np.linalg.norm(H)
+        for a in range(3):
+            for b in range(a, 3):
+                M = np.zeros((3, 3))
+                M[:, b] += H[:, a]
+                M[:, a] += H[:, b]
+                rows.append(M.reshape(9))
+    F = np.linalg.svd(np.array(rows))[2][-1].reshape(3, 3)
+    U, sv, Vt = np.linalg.svd(F)
+    return canonical_fmatrix(T2.T @ (U * [sv[0], sv[1], 0.0]) @ Vt @ T1)
+
+
+# The 48 permutations of the eight positions that map the facets onto
+# themselves: the relabellings that keep a cube's images in label order.
+FACET_SETS = {frozenset(f) for f in FACET_IDX.tolist()}
+CUBE_SYMMETRIES = [
+    perm
+    for perm in itertools.permutations(range(8))
+    if all(frozenset(perm[i] for i in f) in FACET_SETS for f in FACET_SETS)
+]
+
+
 class TestCubeEightPoint:
     def test_standard_instance(self, standard_instance):
         F = cube_eight_point(standard_instance["X"], standard_instance["Y"])
         assert grassmann_angle(F, standard_instance["F"]) < 1e-10
 
-    def test_noisy_selection_is_minimal_residual(self, standard_instance, rng):
-        Xn = add_noise(standard_instance["X"], 0.01, rng)
-        # The second image of the fixture contains points at infinity which
-        # cannot carry affine noise; perturb the affine image only.
-        Y = standard_instance["Y"]
-        F = cube_eight_point(Xn, Y)
-        assert epipolar_residual(F, Xn, Y) < 1e-2
+    @pytest.mark.parametrize("case", range(5))
+    def test_noisy_estimate_is_the_facet_least_squares(self, standard_instance, nonruled_pool, rng, case):
+        # The standard instance's second image has points at infinity, which
+        # cannot carry affine noise, so only its first image is perturbed and
+        # cube8 runs unconditioned; the other cases are conditioned.  The
+        # reference builds every row differently (a DLT for each H), so the
+        # estimates agree to rounding over the gap between the last two
+        # singular values.
+        if case == 0:
+            X, Y = add_noise(standard_instance["X"], 0.01, rng), standard_instance["Y"]
+        else:
+            X, Y, _ = nonruled_pool[case - 1]
+            X, Y = add_noise(X, 0.02 * case, rng), add_noise(Y, 0.02 * case, rng)
+        assert grassmann_angle(cube_eight_point(X, Y), reference_cube_eight_point(X, Y)) < 1e-9
 
     def test_needs_exactly_eight(self, standard_instance):
         with pytest.raises(ValueError):
@@ -704,17 +758,20 @@ class TestCubeEightPoint:
 
     @given(
         which=st.integers(0, 3),
-        perm=st.permutations(range(8)),
+        perm=st.sampled_from(CUBE_SYMMETRIES),
         exponents=st.lists(st.integers(-300, 300), min_size=16, max_size=16),
     )
-    @example(which=0, perm=list(range(8)), exponents=[200] * 16)
-    @example(which=0, perm=list(range(8)), exponents=[-200] * 16)
+    @example(which=0, perm=tuple(range(8)), exponents=[200] * 16)
+    @example(which=0, perm=tuple(range(8)), exponents=[-200] * 16)
     @settings(max_examples=40, deadline=None)
     def test_permutation_and_extreme_scale_invariance(self, nonruled_pool, which, perm, exponents):
-        # Each homogeneous image point is rescaled by its own 10^k.
+        # cube8 reads the facets from the label order, so the correspondences
+        # are relabelled by a symmetry of the cube; each homogeneous image
+        # point is rescaled by its own 10^k.
+        assert len(CUBE_SYMMETRIES) == 48
         X, Y, F_true = nonruled_pool[which]
         scale = 10.0 ** np.array(exponents, dtype=float)[:, None]
-        Xs, Ys = X[perm] * scale[:8], Y[perm] * scale[8:]
+        Xs, Ys = X[list(perm)] * scale[:8], Y[list(perm)] * scale[8:]
         assert grassmann_angle(cube_eight_point(Xs, Ys), F_true) < 1e-8
         G = np.arange(9.0).reshape(3, 3)
         assert epipolar_residual(G, Xs, Ys) == pytest.approx(epipolar_residual(G, X, Y), rel=1e-9)
@@ -739,6 +796,39 @@ class TestCubeEightPoint:
         expected = np.linalg.inv(H2).T @ F @ np.linalg.inv(H1)
         assert grassmann_angle(cube_eight_point(Xh, Yh), expected) < 1e-8
 
+    def test_camera_centre_on_a_facet_plane(self, nonruled_pool):
+        # The first camera's centre lies on the plane of facet 0, so that
+        # facet's four points are collinear in the first image and give no
+        # conditions; F still comes back at sigma = 0, alone and in a stack.
+        cube = random_combinatorial_cube(np.random.default_rng(3))
+        plane = cube.planes[0]
+        foot = -plane[3] * plane[:3] / (plane[:3] @ plane[:3])
+        along = np.cross(plane[:3], [0.3, -0.5, 0.8])
+        A1, A2 = look_at_camera(foot + 6.0 * along / np.linalg.norm(along)), look_at_camera([1.0, 5.0, 3.0])
+        X, Y = project_all(A1, cube.vertices), project_all(A2, cube.vertices)
+        F_true = fundamental_from_cameras(A1, A2)
+        w = _unit_rows(X[FACET_IDX[0]])
+        assert abs(np.linalg.det(w[:3])) < 1e-12
+        assert grassmann_angle(cube_eight_point(X, Y), F_true) < 1e-9
+        Xs = np.array([nonruled_pool[0][0], X, nonruled_pool[1][0]])
+        Ys = np.array([nonruled_pool[0][1], Y, nonruled_pool[1][1]])
+        (F,), _, (failures,) = _estimate_all(("cube8",), Xs, Ys)
+        assert not failures
+        assert np.array_equal(F[1], cube_eight_point(X, Y))
+        assert grassmann_angle(F[1], F_true) < 1e-9
+
+    def test_noise_free_ruled_geometries(self):
+        # Not an acceptance criterion.  On a ruled 10-point quadric several
+        # rank-2 members of Z's pencil fit the eight points exactly; the
+        # facets pin F all the same.  Measured: 40 of the 40 pinned draws
+        # (10 of 40 with the rank-7 pencil and residual selection).
+        pool = ruled_geometries()
+        X, Y = np.array([X for X, _, _ in pool]), np.array([Y for _, Y, _ in pool])
+        (F,), _, (failures,) = _estimate_all(("cube8",), X, Y)
+        angles = [grassmann_angle(G, F_true) for G, (_, _, F_true) in zip(F, pool)]
+        assert not failures
+        assert sum(a < 1e-6 for a in angles) == 40
+
 
 def look_at_scene():
     """Eight random points seen by two radius-6 look-at cameras, and F."""
@@ -756,14 +846,17 @@ EXTREME_SCALES = [2.0**-560, 2.0**560]
 
 class TestExtremeScales:
     @pytest.mark.parametrize("scale", EXTREME_SCALES)
-    def test_generic_scene(self, scale):
+    def test_generic_scene(self, nonruled_pool, scale):
+        # cube8 reads the facets, so it runs on a cube seen by look-at
+        # cameras at the same scale.
         X, Y, F_true = look_at_scene()
         Xs, Ys = X * scale, Y * scale
+        Xc, Yc, F_cube = nonruled_pool[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert grassmann_angle(eight_point(Xs, Ys), F_true) < 1e-9
             assert min(grassmann_angle(F, F_true) for F in seven_point(Xs[:7], Ys[:7]).candidates) < 1e-9
-            assert grassmann_angle(cube_eight_point(Xs, Ys), F_true) < 1e-9
+            assert grassmann_angle(cube_eight_point(Xc * scale, Yc * scale), F_cube) < 1e-9
 
     @pytest.mark.parametrize("scale", EXTREME_SCALES)
     def test_cube_scene(self, standard_instance, scale):
