@@ -135,8 +135,7 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="estimate F from a correspondence CSV")
     p.add_argument("--input", required=True)
-    cube8 = "cube8 reads the rows as a cube's vertices in label order 0,1,2,3,6,7,8,9"
-    p.add_argument("--algo", choices=ALGOS, default="cube8", help=cube8)
+    p.add_argument("--algo", choices=ALGOS, default="7pt", help="cube8: rows are cube vertices 0,1,2,3,6,7,8,9")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("verify-degeneracy", help="rank audit of a 3D point file")

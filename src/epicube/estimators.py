@@ -80,8 +80,7 @@ def eight_point(X, Y):
     Z is not one-dimensional; on images of a combinatorial cube that is the
     expected outcome for every camera pair.
     """
-    X = as_points(X, 3)
-    Y = as_points(Y, 3)
+    X, Y = as_points(X, 3), as_points(Y, 3)
     if len(X) < 8:
         raise ValueError(f"need at least 8 correspondences, got {len(X)}")
     if len(X) != len(Y):
@@ -167,8 +166,7 @@ def pencil_solve(F1, F2):
 
 def seven_point(X, Y):
     """7-point algorithm: pencil of the two kernel generators of Z."""
-    X = as_points(X, 3)
-    Y = as_points(Y, 3)
+    X, Y = as_points(X, 3), as_points(Y, 3)
     if len(X) != 7 or len(Y) != 7:
         raise ValueError("the 7-point algorithm needs exactly 7 correspondences")
     return _solution(*_one(pencil.solve, _one(_seven_point, X, Y)[0]))
@@ -187,7 +185,6 @@ def _seven_point(X, Y, failures):
 def eckart_young_rank7(Z):
     """Nearest rank-7 matrix in Frobenius norm (trailing sigmas zeroed)."""
     U, s, Vt = np.linalg.svd(_as_array(Z), full_matrices=False)
-    s = s.copy()
     s[7:] = 0.0
     return (U * s) @ Vt
 
@@ -196,23 +193,20 @@ def cube_eight_point(X, Y):
     """Cube-aware 8-point algorithm on the images of a combinatorial cube's
     vertices in label order 0,1,2,3,6,7,8,9 (``CubeConfig.vertices``): the
     least squares on Z and on "H_k^T F is skew-symmetric" for each facet's
-    homography H_k, projected to rank 2.  Raises DegenerateInput where its
-    kernel is not one-dimensional.  Images with a point at infinity cannot
-    be conditioned and are used as given.
-    """
+    homography H_k, projected to rank 2.  DegenerateInput where its kernel is
+    not one-dimensional; images with a point at infinity are not conditioned."""
     return _estimate_one("cube8", X, Y)[0]
 
 
-# COMPATIBILITY maps a flattened H to the rows (a, b), a <= b, of H^T F + F^T H
-# in the flattened F, H[c, a] at F[c, b] plus H[c, b] at F[c, a]: exact.
-_H, _E, (_A, _B) = np.eye(9).reshape(9, 3, 3, 1), np.eye(3), np.triu_indices(3)
-COMPATIBILITY = (_H[..., _A, :] * _E[_B] + _H[..., _B, :] * _E[_A]).swapaxes(1, 2).reshape(9, 54)
-# Indices into an image's flattened (8, 3) points: for row i of facet k with
-# quadruple p, the factors a[c+1], b[c+2], a[c+2], b[c+1] of entry c of
-# a x b = p[i+1] x p[i+2] (indices mod 3), then p[3] and p[i].
-_POINTS = [[1, 2, 0], [2, 0, 1], [1, 2, 0], [2, 0, 1], [3, 3, 3], [0, 1, 2]]
-_SHIFTS = [[1], [2], [2], [1], [0], [0]]
-FACET_GATHER = 3 * FACET_IDX[:, _POINTS, None].swapaxes(0, 1) + (np.arange(3) + _SHIFTS)[:, None, None] % 3
+# H -> rows (a <= b) of H^T F + F^T H over F, both flattened: (H^T F)[a, b] = H[c, a] F[c, b].
+_S, (_a, _b) = np.einsum("rc,sa,db->rsabcd", *[np.eye(3)] * 3), np.triu_indices(3)
+COMPATIBILITY = (_S + _S.swapaxes(2, 3))[:, :, _a, _b].reshape(9, 54)
+# Positions in an image's flattened (8, 3) points of a[c+1], b[c+2], a[c+2] and
+# b[c+1], whose products give entry c of a x b for a, b = p[i+1], p[i+2] (mod 3),
+# then p[3][c] and p[i][c], for row i of facet k with quadruple p.
+_I1, _I2, _p = [1, 2, 0], [2, 0, 1], np.arange(24).reshape(8, 3)[FACET_IDX]
+_pa, _pb = _p[:, _I1], _p[:, _I2]
+FACET_GATHER = np.stack([_pa[..., _I1], _pb[..., _I2], _pa[..., _I2], _pb[..., _I1], _p[:, [3, 3, 3]], _p[:, :3]])
 
 
 def _cube_eight_point(XYu, failures):
@@ -220,30 +214,26 @@ def _cube_eight_point(XYu, failures):
     points, each instance's eight X then its eight Y: each F, (N, 3, 3), NaN
     where instance n raises, its exception under key n of ``failures``."""
     N = len(XYu)
-    # An instance with a point at infinity cannot be conditioned and takes
-    # its unit rows as given.
+    # An instance with a point at infinity takes its unit rows unconditioned.
     affine = (np.abs(XYu[..., 2]) > 1e-12).all(axis=1)[:, None, None]
     T, Pn, degenerate = _condition((XYu[..., :2] / np.where(affine, XYu[..., 2:], 1.0)).reshape(-1, 8, 2))
     Pn /= np.sqrt(np.vecdot(Pn, Pn))[..., None]
     T = np.where(affine[..., None], T.reshape(N, 2, 3, 3), np.eye(3))
     Pn = np.where(affine[..., None], Pn.reshape(N, 2, 8, 3), XYu.reshape(N, 2, 8, 3))
-    # Each facet's H from projective bases, no division: with K the adjugate
-    # of [p0 p1 p2] and lam = K p3, H ~ [y0 y1 y2] diag(lam_y[i] lam_x[i+1]
-    # lam_x[i+2]) K_x.  lam and det[p0 p1 p2], the quadruple's four triple
-    # brackets, are ~0 where three points are collinear: then H goes to 0.
+    # Each facet's H from projective bases, no division: K the adjugate of
+    # [p0 p1 p2] (row i p[i+1] x p[i+2]), lam = K p3, H ~ [y0 y1 y2] diag(lam_y[i]
+    # lam_x[i+1] lam_x[i+2]) K_x.  lam and det[p0 p1 p2], the quadruple's four
+    # triple brackets, are ~0 where three points are collinear: then H is 0.
     G = Pn.reshape(N, 2, 24)[:, :, FACET_GATHER]
     K = G[:, :, 0] * G[:, :, 1] - G[:, :, 2] * G[:, :, 3]
     brackets = np.vecdot(K[:, :, None], G[:, :, 4:])
-    lx = brackets[:, 0, 0]
-    mu = brackets[:, 1, 0] * lx[..., [1, 2, 0]] * lx[..., [2, 0, 1]]
+    mu = brackets[:, 1, 0] * brackets[:, 0, 0][..., _I1] * brackets[:, 0, 0][..., _I2]
     H = ((G[:, 1, 5] * mu[..., None]).swapaxes(-1, -2) @ K[:, 0]).reshape(N, 6, 9)
     planar = (np.abs(brackets) > DEFAULT_TOL).all(axis=(1, 2, 4))
     H /= np.where(planar, np.sqrt(np.vecdot(H, H)), np.inf)[..., None]
     A = np.concatenate([_kron_rows(Pn[:, 0], Pn[:, 1]), (H @ COMPATIBILITY).reshape(N, 36, 9)], axis=1)
-    # The Gram matrix's singular values are A's squared, rounded at eps s[0]:
-    # a kernel direction is one below 1e-6 of A's largest, 1e-12 squared.
-    _, s, Vt = np.linalg.svd(A.mT @ A)
-    dim = 9 - _ranks(s, 1e-12)
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
+    dim = 9 - _ranks(s)
     cloud = affine[:, 0, 0] & degenerate.reshape(N, 2).any(axis=1)
     for n in (cloud | (dim > 1)).nonzero()[0].tolist():
         failures[n] = DegenerateCloud("all points coincide") if cloud[n] else DegenerateInput(int(dim[n]))
@@ -285,8 +275,8 @@ def _estimate_all(algos, X, Y):
             candidates[j] = _cube_eight_point(XYu, failures[j])[:, None]
         else:
             raise ValueError(f"unknown estimator {algo!r}")
-    chosen = [_select(candidates[j], Xu, Yu) for j in range(len(algos))]
-    F = [candidates[j][np.arange(N), best] for j, (best, _) in enumerate(chosen)]
+    chosen = [_select(c, Xu, Yu) for c in candidates]
+    F = [c[np.arange(N), best] for c, (best, _) in zip(candidates, chosen)]
     return F, [residual for _, residual in chosen], failures
 
 

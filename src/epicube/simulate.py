@@ -160,10 +160,9 @@ def _geometry(cfg, trial_idx):
     cam_rng = np.random.default_rng(cam_ss)
     cube = random_combinatorial_cube(cube_rng)
     for attempt in range(1, MAX_GEOMETRY_ATTEMPTS + 1):
-        # A ruled 10-point quadric is a critical configuration: several
-        # rank-2 members of Z's pencil fit the data exactly, so the 7-point
-        # selection cannot tell them apart (cube8's facet rows can).  The
-        # sweep samples non-ruled geometry only (a fresh cube every 16 draws).
+        # On a ruled 10-point quadric several rank-2 members of Z's pencil fit
+        # the data exactly and 7pt's selection cannot tell them apart (cube8's
+        # facet rows can); the sweep samples non-ruled geometry only.
         if attempt % 16 == 0:
             cube = random_combinatorial_cube(cube_rng)
         c1, c2 = _camera_centres(cam_rng, CAMERA_RADIUS)

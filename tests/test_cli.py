@@ -5,7 +5,7 @@ import pytest
 
 from epicube.cli import main
 from epicube.degeneracy import UNIT_CUBE_VERTICES, random_combinatorial_cube
-from epicube.estimators import ALGOS, cube_eight_point, eight_point, seven_point
+from epicube.estimators import ALGOS, cube_eight_point, eight_point, fundamental_from_cameras, seven_point
 from epicube.projective import canonical_fmatrix, epipolar_residual, grassmann_angle, project_all
 from epicube.simulate import add_noise, sample_camera_pair
 from conftest import A1, A2, X_IMAGE, Y_IMAGE
@@ -135,6 +135,25 @@ class TestEstimate:
         F = np.array([[float(v) for v in row.split()] for row in capsys.readouterr().out.splitlines()[:3]])
         expected = eight_point(X, Y) if algo == "8pt" else seven_point(X[:7], Y[:7]).best(X, Y)[0]
         assert grassmann_angle(F, expected) < 1e-9
+
+    def test_default_is_7pt_on_points_off_a_cube(self, tmp_path, capsys):
+        # Eight random points, not a cube's vertices: with no --algo the
+        # estimate is 7pt's, which recovers F at sigma = 0.  cube8 would read
+        # the rows as cube vertices and solve facet conditions that do not
+        # hold, so it is only run when asked for.
+        rng = np.random.default_rng(5)
+        P = np.hstack([rng.uniform(-1.0, 1.0, size=(8, 3)), np.ones((8, 1))])
+        cam1, cam2 = sample_camera_pair(rng, 6.0)
+        X, Y = project_all(cam1, P), project_all(cam2, P)
+        F_true = fundamental_from_cameras(cam1, cam2)
+        path = tmp_path / "corr.csv"
+        write_correspondences(path, X, Y)
+        assert main(["estimate", "--input", str(path)]) == 0
+        F, residual = seven_point(X[:7], Y[:7]).best(X, Y)
+        expected = [" ".join(repr(float(v)) for v in row) for row in F]
+        assert capsys.readouterr().out.splitlines() == expected + [f"residual: {residual!r}"]
+        assert grassmann_angle(F, F_true) < 1e-9
+        assert grassmann_angle(cube_eight_point(X, Y), F_true) > 1e-3
 
     def test_missing_file(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 2
