@@ -287,7 +287,7 @@ def build_Z(X, Y):
 
 def _kron_rows(X, Y):
     """build_Z on (..., n, 3) stacks of checked points, without its scaling:
-    the caller brings extreme points ``_in_range``."""
+    the estimators pass unit rows, build_Z its points ``_in_range``."""
     return (Y[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (9,))
 
 

@@ -20,7 +20,6 @@ from .projective import (
     DEFAULT_TOL,
     _as_array,
     _canon_rows,
-    _in_range,
     _residuals,
     _unit_pairs,
     _unit_rows,
@@ -74,7 +73,8 @@ def _condition(aff):
 
 
 def eight_point(X, Y):
-    """Noise-free 8-point algorithm: F from the kernel of Z.
+    """Noise-free 8-point algorithm: F from the kernel of Z, built from the
+    unit rows of the points, so a point's scale moves F by rounding only.
 
     Raises DegenerateInput carrying the kernel dimension when the kernel of
     Z is not one-dimensional; on images of a combinatorial cube that is the
@@ -85,9 +85,8 @@ def eight_point(X, Y):
         raise ValueError(f"need at least 8 correspondences, got {len(X)}")
     if len(X) != len(Y):
         raise LengthMismatch(f"|X|={len(X)} but |Y|={len(Y)}")
-    # kernel_basis(build_Z(X, Y)) on checked inputs, both images' points
-    # brought in range by one call.
-    XY = _in_range(np.concatenate((X, Y)))
+    # Z from the unit rows of both images' points, taken by one call.
+    XY = _unit_rows(np.concatenate((X, Y)))
     _, s, vt = np.linalg.svd(_kron_rows(XY[: len(X)], XY[len(X) :]), full_matrices=True)
     dim = 9 - int(_ranks(s))
     if dim != 1:
@@ -169,13 +168,13 @@ def seven_point(X, Y):
     X, Y = as_points(X, 3), as_points(Y, 3)
     if len(X) != 7 or len(Y) != 7:
         raise ValueError("the 7-point algorithm needs exactly 7 correspondences")
-    return _solution(*_one(pencil.solve, _one(_seven_point, X, Y)[0]))
+    return _solution(*_one(pencil.solve, _one(_seven_point, *_unit_pairs(X, Y))[0]))
 
 
 def _seven_point(X, Y, failures):
-    """The (N, 2, 9) pencil generators of seven_point on (N, 7, 3) checked
-    stacks, for ``pencil.solve``; instance n fails under key n."""
-    _, s, Vt = np.linalg.svd(_kron_rows(_in_range(X), _in_range(Y)))
+    """The (N, 2, 9) pencil generators of seven_point on (N, 7, 3) stacks
+    of unit rows, for ``pencil.solve``; instance n fails under key n."""
+    _, s, Vt = np.linalg.svd(_kron_rows(X, Y))
     dim = 9 - _ranks(s)
     for n in (dim != 2).nonzero()[0].tolist():
         failures[n] = DegenerateInput(int(dim[n]))
@@ -250,8 +249,9 @@ def _estimate_all(algos, X, Y):
     checked points, as three lists with one entry per algorithm: each
     instance's chosen F, (N, 3, 3), its residual on all n correspondences,
     (N,) (NaN and inf where it raises), and the raising instances' exceptions.
-    "8pt" runs the module-global (maybe traced) ``eight_point`` per instance,
-    "7pt" the pencil of the first 7 rows, "cube8" ``_cube_eight_point``."""
+    "8pt" runs the module-global ``eight_point`` per instance, because the
+    sweep benchmark's check reads the errors its tracer records there; "7pt"
+    the pencil of the first 7 unit rows, "cube8" ``_cube_eight_point``."""
     N = len(X)
     # Both images' points in one stack, and their unit rows from one call.
     XYu = _unit_rows(np.concatenate([X, Y], axis=1))
@@ -268,7 +268,7 @@ def _estimate_all(algos, X, Y):
         elif algo == "7pt":
             if X.shape[1] < 7:
                 raise ValueError("the 7-point algorithm needs at least 7 correspondences")
-            candidates[j] = pencil.solve(_seven_point(X[:, :7], Y[:, :7], failures[j]), failures[j])[1]
+            candidates[j] = pencil.solve(_seven_point(Xu[:, :7], Yu[:, :7], failures[j]), failures[j])[1]
         elif algo == "cube8":
             if X.shape[1] != 8 or Y.shape[1] != 8:
                 raise ValueError("the cube-8-point algorithm needs exactly 8 correspondences")

@@ -39,7 +39,8 @@ def reject_dependent(G, failures):
 
 def solve(G, failures):
     """The pencil solve on an (N, 2, 9) stack of linearly independent
-    generator pairs, but for the instances already in ``failures``.
+    generator pairs, but for the instances already in ``failures``, which
+    are masked out and keep rows of NaN.
 
     The cubic is interpolated from one stacked determinant at four nodes;
     near-multiple roots are merged to their cluster mean, near-real roots
@@ -52,18 +53,13 @@ def solve(G, failures):
     F1, F2 = G[:, 0].reshape(N, 3, 3), G[:, 1].reshape(N, 3, 3)
     vals = np.linalg.det(members(NODES, F1[:, None], F2[:, None]))
     coeffs = np.linalg.solve(VANDER, vals[..., None])[..., 0]
-    # Cubed in Python floats (libm's pow), as for a single pencil; numpy's
-    # array power rounds differently.
-    scale = np.array([(3.0 * n) ** 3 for n in np.sqrt(np.vecdot(G, G).max(axis=1)).tolist()])
+    scale = (3.0 * np.sqrt(np.vecdot(G, G).max(axis=1))) ** 3
     for n in (np.abs(vals).max(axis=1) <= 1e-12 * scale).nonzero()[0].tolist():
         failures.setdefault(n, IdenticallyZeroPencil("every pencil member is singular"))
-    if failures:
-        live = np.ones(N, dtype=bool)
-        live[list(failures)] = False
-        roots = np.full((N, 3), np.nan)
-        roots[live] = real_roots(coeffs[live])
-    else:
-        roots = real_roots(coeffs)
+    live = np.ones(N, dtype=bool)
+    live[list(failures)] = False
+    roots = np.full((N, 3), np.nan)
+    roots[live] = real_roots(coeffs[live])
     n, k = (~np.isnan(roots)).nonzero()
     F1, F2 = F1[n], F2[n]
     # Polish on sigma_min, then keep genuine rank-2 members only (a merged
@@ -87,9 +83,6 @@ def solve(G, failures):
 def distinct(roots):
     """An (N, 3) stack of ascending roots, NaN-padded, with each root within
     ROOT_DEDUP_TOL of the last one kept in its row set to NaN."""
-    # No root goes unless some pair of a row is within the tolerance.
-    if not (np.abs(roots[:, LATER] - roots[:, EARLIER]) <= ROOT_DEDUP_TOL).any():
-        return roots
     roots = roots.copy()
     last = roots[:, 0]
     for column in roots.T[1:]:
@@ -103,30 +96,24 @@ def real_roots(coeffs):
     one per cluster head, as an (N, 3) stack padded by NaN.
 
     Numerically-zero leading coefficients are dropped, never the constant
-    one.  A full cubic with a nonzero constant term takes the companion
-    matrix eigenvalues that ``np.roots`` would, in one stacked call; any
-    other goes through ``np.roots``.
+    one.  The full cubics with a nonzero constant term take the companion
+    matrix eigenvalues that ``np.roots`` would, from one stacked call; any
+    other goes through ``np.roots``.  Both fill one NaN-padded complex array.
     """
     N = len(coeffs)
     mag = np.abs(coeffs)
     small = mag <= 1e-12 * mag.max(axis=1, keepdims=True)
     small[:, -1] = False
     cubic = ~small[:, 0] & (coeffs[:, -1] != 0.0)
-    full = cubic.all()
-    p = coeffs if full else coeffs[cubic]
+    p = coeffs[cubic]
     companion = np.zeros((len(p), 3, 3))
     companion[:, 0] = -p[:, 1:] / p[:, :1]
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    if full:
-        # Real where every eigenvalue is, which rounds as complex ones with
-        # zero imaginary parts below.
-        roots = np.linalg.eigvals(companion)
-    else:
-        roots = np.full((N, 3), np.nan, dtype=complex)
-        roots[cubic] = np.linalg.eigvals(companion)
-        for i in (~cubic).nonzero()[0].tolist():
-            r = np.roots(coeffs[i, small[i].argmin() :])
-            roots[i, : len(r)] = r
+    roots = np.full((N, 3), np.nan, dtype=complex)
+    roots[cubic] = np.linalg.eigvals(companion)
+    for i in (~cubic).nonzero()[0].tolist():
+        r = np.roots(coeffs[i, small[i].argmin() :])
+        roots[i, : len(r)] = r
     # Each root is its own cluster, but in the rows where two roots are near.
     size = np.hypot(roots.real, roots.imag)
     d = roots[:, LATER] - roots[:, EARLIER]
