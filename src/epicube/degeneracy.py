@@ -69,6 +69,12 @@ UNIT_CUBE_VERTICES = np.array(
     ]
 )
 
+# Row i: the planes of the minors m_i = [a_i b_i a_j b_j], [a_i b_i a_j a_k], [a_i b_i b_j b_k],
+# [a_i b_i a_j b_k], [a_i b_i b_j a_k], a_k = planes[2k], b_k = planes[2k + 1], (i, j, k) = (i, i + 1, i + 2)
+# mod 3.  Cauchy-Binet on Q = P D P^T, P = planes^T and D the blocks lam_k / 2 [[0, 1], [1, 0]], leaves
+# det Q = p^T W p with W_kk = m_i0^2 / 16 and W_jk = W_kj = -(m_i1 m_i2 + m_i3 m_i4) / 16.
+_PAIR_MINORS = np.add.outer([0, 2, 4], [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 2, 5), (0, 1, 3, 4)]) % 6
+
 # Exact candidates drawn per cube; about a quarter pass the convexity check.
 MAX_CUBE_CANDIDATES = 200
 # Affine maps drawn per candidate; 30% pass, so 0.7^200 ~ 1e-31 run out.
@@ -82,15 +88,18 @@ class CubeConfig:
     ``vertices`` is an (8, 4) array in label order 0,1,2,3,6,7,8,9.  The
     constructor raises ValueError where ``is_combinatorial_cube`` says False,
     and keeps in ``planes`` the facet planes (row k for FACETS[k]) from that
-    check's SVD, and in ``pencil`` the facet pencil: row k is the flattened
-    symmetric q_k with c^T q_k c = (planes[2k] . c)(planes[2k + 1] . c).  It
-    keeps a copy of the vertices, and all three arrays are read-only.  Cubes
-    compare and hash by their vertices, from which the other two derive.
+    check's SVD, in ``pencil`` the facet pencil: row k is the flattened
+    symmetric q_k with c^T q_k c = (planes[2k] . c)(planes[2k + 1] . c), and
+    in ``forms`` W and G: det Q = p^T W p and ||Q||_F^2 = lam^T G lam for Q =
+    sum_k lam_k q_k, p = (lam1 lam2, lam0 lam2, lam0 lam1).  All four arrays
+    are read-only, the vertices a copy, from which the rest derive and by
+    which cubes compare and hash.
     """
 
     vertices: np.ndarray
     planes: np.ndarray = field(init=False, repr=False)
     pencil: np.ndarray = field(init=False, repr=False)
+    forms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ok, diag, vertices, planes = _facet_check(self.vertices)
@@ -99,10 +108,13 @@ class CubeConfig:
         near, far = planes[0::2], planes[1::2]
         q = 0.5 * (near[:, :, None] * far[:, None, :] + far[:, :, None] * near[:, None, :])
         pencil = q.reshape(3, 16)
-        pencil.flags.writeable = False
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "planes", planes)
-        object.__setattr__(self, "pencil", pencil)
+        m = np.linalg.det(planes[_PAIR_MINORS]) / 4
+        W = np.diag(m[[1, 2, 0], 0] ** 2)  # W_kk from row i = k + 1
+        W[[1, 2, 0], [2, 0, 1]] = W[[2, 0, 1], [1, 2, 0]] = -(m[:, 1] * m[:, 2] + m[:, 3] * m[:, 4])
+        forms = np.array([W, pencil @ pencil.T])
+        for name, value in (("vertices", vertices), ("planes", planes), ("pencil", pencil), ("forms", forms)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         return isinstance(other, CubeConfig) and np.array_equal(self.vertices, other.vertices)

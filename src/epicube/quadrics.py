@@ -17,7 +17,6 @@ from .degeneracy import (
     VERONESE_I,
     VERONESE_J,
     _cross3,
-    bracket,
     cross4,
     kernel_basis,
     unit_cube,
@@ -98,6 +97,12 @@ def cube_quadric(C, c1, c2):
 def _cube_quadrics(C, c):
     """cube_quadric of the CubeConfig C through c[0] and each c[1:] of checked
     (n, 4) points: the (n - 1, 4, 4) stack, zero where a pencil fits, and ok."""
+    lam, ok = _cube_lams(C, c)
+    return ((np.stack(lam, axis=1) * ok[:, None]) @ C.pencil).reshape(-1, 4, 4), ok
+
+
+def _cube_lams(C, c):
+    """_cube_quadrics' facet-pencil coordinates lam, three (n - 1,) arrays, and ok."""
     # Rows at max |coordinate| 1, so r neither underflows nor overflows.  Over
     # 4 or 3 columns, element-wise ufuncs cost a tenth of an axis=1 reduction;
     # the row norms add as np.linalg.norm(axis=1) does, (x0^2 + x1^2) + x2^2.
@@ -107,8 +112,7 @@ def _cube_quadrics(C, c):
     # np.cross alone costs about 20 us per call.
     lam = _cross3(a, b)
     lam2, b2 = (x[0] * x[0] + x[1] * x[1] + x[2] * x[2] for x in (lam, b))
-    ok = np.sqrt(lam2) > 1e-12 * np.linalg.norm(a) * np.sqrt(b2)
-    return ((np.stack(lam, axis=1) * ok[:, None]) @ C.pencil).reshape(-1, 4, 4), ok
+    return lam, np.sqrt(lam2) > 1e-12 * np.linalg.norm(a) * np.sqrt(b2)
 
 
 def unit_cube_quadric(f1, f2):
@@ -167,21 +171,21 @@ def _classes(rows, margin):
 def _nonruled(C, c1, c2):
     """Whether the quadric through the CubeConfig C and affine centres c1, c2
     is NONRULED_NONDEGENERATE by ``_classify_stack``.  Q through eight real
-    points is never definite, so the sign of det Q in Python floats decides
-    (det < 0 is (3, 1)) where ||Q||_F > 1e-4 S and |det Q| > 1e-8 ||Q||_F^4,
-    S = |(c1, 1)|^2 |(c2, 1)|^2: there each |eigenvalue| exceeds 1e-12 S and
-    1e-8 ||Q||_F, far above DEFAULT_TOL times the largest and the 7e-15 S by
-    which rounding, or the cameras' SVD centres, moved any on 30,000 pairs."""
+    points is never definite, so the sign of det Q decides (det < 0 is (3, 1))
+    where ||Q||_F > 1e-4 S and |det Q| > 1e-8 ||Q||_F^4, both from C.forms in
+    Python floats, S = |(c1, 1)|^2 |(c2, 1)|^2: there each |eigenvalue| exceeds
+    1e-12 S and 1e-8 ||Q||_F, far above DEFAULT_TOL times the largest and the
+    7e-15 S by which rounding, or the SVD centres, moved any on 30,000 pairs."""
     planes, ab, S = C.planes.tolist(), [], 1.0
     for x, y, z in (c1.tolist(), c2.tolist()):
         s = [p0 * x + p1 * y + p2 * z + p3 for p0, p1, p2, p3 in planes]
         ab.append((s[0] * s[1], s[2] * s[3], s[4] * s[5]))
         S *= x * x + y * y + z * z + 1.0
-    l0, l1, l2 = _cross3(*ab)
-    q = [l0 * u + l1 * v + l2 * w for u, v, w in zip(*C.pencil.tolist())]
-    norm2 = sum(x * x for x in q)
+    l0, l1, l2 = lam = _cross3(*ab)
+    (W, G), p = C.forms.tolist(), (l1 * l2, l0 * l2, l0 * l1)
+    norm2 = sum(x * (g0 * l0 + g1 * l1 + g2 * l2) for x, (g0, g1, g2) in zip(lam, G))
     if norm2 > 1e-8 * S * S:
-        det = bracket(q[0:4], q[4:8], q[8:12], q[12:16])
+        det = sum(x * (w0 * p[0] + w1 * p[1] + w2 * p[2]) for x, (w0, w1, w2) in zip(p, W))
         if abs(det) > 1e-8 * norm2 * norm2:
             return det < 0
     # The core decides the rest; a pencil of quadrics leaves the zero matrix, which is DEGENERATE.
@@ -272,19 +276,20 @@ DET_FLOOR = 10 * DEFAULT_TOL
 
 def _det_classes(C, f1, f2s):
     """region_grid's default pass: the QuadricClass of cube_quadric(C, f1, f2)
-    for each row f2 of f2s, with margin |det Q| / ||Q||_F^4."""
-    Q, _ = _cube_quadrics(C, np.vstack([f1, f2s]))
-    # At unit norm, so that no det underflows; a zero Q stays zero.
-    norm = np.sqrt((Q * Q).sum(axis=(1, 2)))
-    det = bracket(*(Q / np.where(norm > 0, norm, 1.0)[:, None, None]).transpose(1, 2, 0))
-    margin = np.abs(det)
+    for each row f2 of f2s, with margin |det Q| / ||Q||_F^4 from C.forms."""
+    lam, ok = _cube_lams(C, np.vstack([f1, f2s]))
+    # At unit ||lam||, so that no det underflows; lam is zero where a pencil fits.
+    L = np.array(lam) * (ok / np.where(ok, np.sqrt(lam[0] * lam[0] + lam[1] * lam[1] + lam[2] * lam[2]), 1.0))
+    (W, G), P = C.forms, L[[1, 0, 0]] * L[[2, 2, 1]]
+    det, norm2 = ((W @ P) * P).sum(axis=0), ((G @ L) * L).sum(axis=0)
+    margin = np.abs(det) / np.where(ok, norm2 * norm2, 1.0)
     # The |eigenvalues| of Q are at most ||Q||_F and multiply to |det Q|, so
     # where margin > DET_FLOOR each exceeds DET_FLOOR ||Q||_F, ten times
     # _classify_stack's threshold, and the sign of det Q gives the row.
     rows = np.where(det > 0, _RULED_ROW, _NONRULED_ROW)
     exact = margin <= DET_FLOOR
     if exact.any():
-        rows[exact] = _class_rows(Q[exact])[0]
+        rows[exact] = _class_rows(_cube_quadrics(C, np.vstack([f1, f2s[exact]]))[0])[0]
     return _classes(rows, margin)
 
 
@@ -294,22 +299,21 @@ def region_grid(C, f1, chart, resolution, method="auto"):
     plane; (u, v, QuadricClass) cells, u outer.
 
     ``"auto"``, for any combinatorial cube, is the default pass: it takes
-    every cell's cube_quadric Q in one stack and the sign of its det where
-    |det Q| / ||Q||_F^4 exceeds DET_FLOOR, since a quadric through the
-    cube's real vertices is never definite; the other cells go through
-    ``_classify_stack`` of their own Q.  Tags and inertia are those of
+    every cell's facet-pencil coordinates in one stack, det Q and ||Q||_F
+    from the cube's ``forms``, and the sign of det Q where |det Q| /
+    ||Q||_F^4 exceeds DET_FLOOR, since a quadric through the cube's real
+    vertices is never definite; only the other cells build their Q, for
+    ``_classify_stack``.  Tags and inertia are those of
     ``_classify_stack(cube_quadric(...))``; the margin is the det bound that
     QuadricClass describes.  ``"unit"`` names the same pass for callers of
     the former unit-cube path.
     ``"general"`` fits each cell's 10-point quadric through the Veronese
-    kernel, the independent check of the closed form.  It fits cell by
-    cell: one stacked SVD over a 50x50 grid matched every pinned grid but
-    raised the region benchmark's peak RSS, read after its check runs this
-    path on every kept unit-cube grid, from 45.1 to about 52 MiB (3-s runs,
-    2-core Xeon), past that metric's 10% bound.  Cells without a
-    unique quadric are DEGENERATE with inertia (0, 0, 4).  ``C`` goes
-    through CubeConfig on every method, so a non-cube raises ValueError, as
-    does a chart whose grid points overflow.
+    kernel, the independent check of the closed form, cell by cell: a
+    stacked SVD raised the region benchmark's peak RSS, read after its check
+    runs this path, from 45.1 to 52 MiB (3-s runs, 2-core Xeon).  Cells
+    without a unique quadric are DEGENERATE with inertia (0, 0, 4).  ``C``
+    goes through CubeConfig on every method, so a non-cube raises
+    ValueError, as does a chart whose grid points overflow.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 2:
         raise ValueError("resolution must be an integer >= 2")
@@ -332,5 +336,4 @@ def region_grid(C, f1, chart, resolution, method="auto"):
         cells = _classify_stack(Q)
     else:
         cells = _det_classes(C, f1, f2s)
-    us, vs = us.tolist(), vs.tolist()
-    return list(zip([u for u in us for _ in vs], vs * resolution, cells))
+    return list(zip(np.repeat(us, resolution).tolist(), vs.tolist() * resolution, cells))

@@ -249,7 +249,7 @@ class TestCombinatorialCube:
 
     def test_arrays_are_read_only(self):
         cube = unit_cube()
-        for arr in (cube.vertices, cube.planes):
+        for arr in (cube.vertices, cube.planes, cube.pencil, cube.forms):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.3
 
@@ -280,7 +280,9 @@ class TestCombinatorialCube:
     def test_extreme_scales(self, scale):
         ok, diag = is_combinatorial_cube(UNIT_CUBE_VERTICES * scale)
         assert ok and diag["affine"]
-        assert np.array_equal(CubeConfig(UNIT_CUBE_VERTICES * scale).planes, unit_cube().planes)
+        scaled = CubeConfig(UNIT_CUBE_VERTICES * scale)
+        assert np.array_equal(scaled.planes, unit_cube().planes)
+        assert np.array_equal(scaled.forms, unit_cube().forms)
 
     def test_nonconvex_fails_strict_side_only(self):
         # A projective map that sends a plane through the cube to infinity

@@ -4,6 +4,7 @@ import warnings
 from collections import Counter
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -393,6 +394,58 @@ class TestCubeQuadric:
         assert 0 < nonruled < 300
 
 
+def pencil_coordinates(cube, Q):
+    """The lam with Q = sum_k lam_k q_k, by least squares on the facet pencil."""
+    return np.linalg.lstsq(cube.pencil.T, Q.reshape(-1, 16).T, rcond=None)[0].T
+
+
+def det_form(W, lam):
+    """p^T W p for p = (lam1 lam2, lam0 lam2, lam0 lam1), row by row."""
+    p = np.stack([lam[..., 1] * lam[..., 2], lam[..., 0] * lam[..., 2], lam[..., 0] * lam[..., 1]], axis=-1)
+    return np.einsum("...i,ij,...j->...", p, W, p)
+
+
+class TestDetForms:
+    # CubeConfig.forms: W with det Q = p^T W p and G with ||Q||_F^2 = lam^T G
+    # lam, for Q = sum_k lam_k q_k on the cube's facet pencil.
+    @pytest.mark.parametrize("seed", range(8))
+    def test_forms_give_det_and_norm_of_cube_quadric(self, seed):
+        rng = np.random.default_rng(seed)
+        for cube in [unit_cube()] + [random_combinatorial_cube(rng) for _ in range(10)]:
+            W, G = cube.forms
+            f1 = np.append(rng.uniform(-6, 6, 3), 1.0)
+            f2s = np.append(rng.uniform(-6, 6, (40, 3)), np.ones((40, 1)), axis=1)
+            Q = cube_quadric(cube, f1, f2s)
+            lam = pencil_coordinates(cube, Q)
+            norm2 = (Q * Q).sum(axis=(1, 2))
+            assert (np.abs(det_form(W, lam) - np.linalg.det(Q)) <= 1e-12 * norm2 * norm2).all()
+            assert np.einsum("ni,ij,nj->n", lam, G, lam) == pytest.approx(norm2, rel=1e-12)
+
+    def test_diagonal_is_the_squared_pair_minor_over_16(self, rng):
+        for cube in [unit_cube()] + [random_combinatorial_cube(rng) for _ in range(20)]:
+            W = cube.forms[0]
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                minor = np.linalg.det(cube.planes[[2 * i, 2 * i + 1, 2 * j, 2 * j + 1]])
+                assert W[k, k] == pytest.approx(minor**2 / 16, rel=1e-12)
+                assert W[k, k] >= 0.0
+            assert np.array_equal(W, W.T)
+            assert np.array_equal(cube.forms[1], cube.pencil @ cube.pencil.T)
+
+
+def real_quartic_roots(W, r):
+    """The real roots, counted with multiplicity, of the binary quartic
+    det(sum_k lam_k q_k) = p^T W p on the plane lam . r = 0: the pencil of
+    quadrics through the cube and a point c with r_k = c^T q_k c."""
+    u = np.linalg.svd(r[None])[2][1:]
+    lam = [np.array([u[0, k], u[1, k]]) for k in range(3)]  # lam_k(t) = u0_k + t u1_k
+    p = [P.polymul(lam[1], lam[2]), P.polymul(lam[0], lam[2]), P.polymul(lam[0], lam[1])]
+    quartic = sum(W[i, j] * P.polymul(p[i], p[j]) for i in range(3) for j in range(3))
+    roots = P.polyroots(quartic)
+    # A leading coefficient of 0 would put a root at t = infinity.
+    assert abs(quartic[4]) > 1e-9 * np.abs(quartic).max()
+    return roots[np.abs(roots.imag) <= 1e-7 * (1 + np.abs(roots))].real
+
+
 class TestPencilCones:
     def test_real_singular_members_are_cones_between_ruled_and_non_ruled_arcs(self):
         # The quadrics through a cube and f1 form a pencil; its real singular
@@ -401,14 +454,27 @@ class TestPencilCones:
         # 66 have 2 and 2 have none (every member ruled).  All 1,060 are
         # cones, rank 3: s4 / s1 <= 3.2e-14 and s3 / s1 >= 1.1e-4 measured.
         # The arcs between them alternate ruled and non-ruled.
+        #
+        # Why 4, 2 or 0, and why the arcs alternate: on the pencil, lam runs
+        # over the plane lam . r(f1) = 0, and det Q = p^T W p is a real
+        # binary quartic in lam (CubeConfig.forms).  Its non-real roots come
+        # in conjugate pairs, so it has 4, 2 or 0 real roots, counted with
+        # multiplicity.  Every member passes through the cube's real
+        # vertices, so no nonsingular member is definite: det Q > 0 is
+        # (2, 2), ruled, and det Q < 0 is (3, 1).  det changes sign at each
+        # simple root, so the arcs alternate; here every real root is simple.
+        # That each singular member is a cone (rank 3), not a pair of planes,
+        # is measured, not proved.
         rng = np.random.default_rng(0)
         counts = Counter()
         for _ in range(300):
             cube = random_combinatorial_cube(rng)
-            B = pencil_basis(cube, np.append(rng.uniform(-6, 6, 3), 1.0))
+            f1 = np.append(rng.uniform(-6, 6, 3), 1.0)
+            B = pencil_basis(cube, f1)
             mu = np.linalg.eigvals(np.linalg.solve(B[1], B[0]))
             mu = mu[mu.imag == 0].real
             counts[len(mu)] += 1
+            assert len(real_quartic_roots(cube.forms[0], cube.pencil @ np.kron(f1, f1))) == len(mu)
             for m in mu:
                 s = np.linalg.svd(B[0] - m * B[1], compute_uv=False)
                 assert s[3] <= 1e-12 * s[0] and s[2] > 1e-6 * s[0]
@@ -662,17 +728,18 @@ class TestRegionGrid:
 # (u, v, tag, inertia) rows, the same for both methods, and PINNED_GRIDS that
 # of repr(cells), margins included.  The "general" cell pins were recorded
 # before the classification moved to whole-array work; the "auto" ones when
-# its margin became the det bound.  The class pins were recorded before that
-# margin change and are unchanged by it.  The chart passes through f1, so each
-# grid has a zero (pencil) cell besides ruled and non-ruled ones.
+# the det bound came to be read from CubeConfig.forms, which moved the
+# margins' last bits.  The class pins were recorded before the margin became
+# the det bound and are unchanged since.  The chart passes through f1, so
+# each grid has a zero (pencil) cell besides ruled and non-ruled ones.
 PINNED_CHART = PlaneChart((0.0, 0.0, 4.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-8.0, 11.0), (-8.0, 11.0))
 F1_ON_CHART = [2.0, 3.0, 4.0, 1.0]
 PINNED_GRIDS = {
-    ("unit", "auto"): "2eca52d9354c8b91544b343b4c7a71923c57798dd2de5d3c98741449a4e33691",
+    ("unit", "auto"): "22a6b564c30d6cb2f559d0bf27a4c88eec5e86d8bf51ef9b17aeee29384dbdca",
     ("unit", "general"): "a999467f211d5aff9094ad32147f252703f228ddc746cda0c6ab0e63c9fb3fc1",
-    (1, "auto"): "31ea7ace9c72b54cda2e5fe77b43ef4ce48623fa15fdb044d613d760e0fcb6ca",
+    (1, "auto"): "c205ef73609c21f22ac6970c24440b75e0101225d79fa55cdf5123a96b9a1d33",
     (1, "general"): "fe70f55d9400388a3730cf0e9e0f8db5e547b0185a0298c58bc30ed584154516",
-    (2, "auto"): "fcb9fbcd65e74f30d7f29bad3ab19af6cbffeee3c448d174d39e3e3761f83d76",
+    (2, "auto"): "03604981e1285b203e6194a3e294e2588fb88d6682e8cd76eb9573123951ec78",
     (2, "general"): "4323ba82fc4bc31e2085d36eb384a344a054ce13dacad108cbba46bcbaf202af",
 }
 PINNED_CLASSES = {
